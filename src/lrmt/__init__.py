@@ -10,7 +10,6 @@ from .corpus import (  # noqa: F401
     normalize_text,
 )
 from .errors import (  # noqa: F401
-    CheckpointError,
     IngestError,
     LrmtError,
     ProviderError,

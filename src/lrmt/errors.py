@@ -1,8 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
-
-The CLI maps these onto exit codes: validation failures exit 2,
-provider and I/O failures exit 3.
-"""
+"""Exception hierarchy shared across the toolkit."""
 
 
 class LrmtError(Exception):
@@ -19,7 +15,3 @@ class ValidationError(LrmtError):
 
 class ProviderError(LrmtError):
     """A remote provider (translation or embedding) failed after retries."""
-
-
-class CheckpointError(LrmtError):
-    """A checkpoint file is corrupt or inconsistent with the current job."""

@@ -1,136 +1,68 @@
-"""Integer-sequence DP kernels: word edit distance and LCS length.
+"""Bit-parallel DP kernels: word edit distance and LCS length.
 
-Two interchangeable backends. numba is optional: when it can be imported, the
-inner loops are compiled with it; otherwise a vectorized pure-numpy path runs.
-Setting LRMT_NO_NUMBA to any value other than 0 or empty selects the numpy
-path even when numba is importable. `BACKEND` records the active choice. Both
-backends return identical integers for identical inputs; `benchmarks/run.py
---trace 1` reports the `metrics.kernels.levenshtein_us` and
-`metrics.kernels.lcs_us` timings of the active `BACKEND`.
+One exact implementation for each, with Python ints as bit vectors of any
+width, so the results equal the full-matrix DP for every input length. Bit j
+of a vector stands for position j of the second sequence `b`; each token of
+`a` advances a whole DP column in a constant number of int operations.
+
+- Levenshtein: Myers 1999 (J. ACM 46(3)), in the global-distance form of
+  Hyyrö 2001, which shifts a +1 into the top row so that D[0][j] = j.
+- LCS: Allison & Dix 1986 (IPL 23), as restated by Hyyrö 2004.
+
+Tokens need only be hashable. `benchmarks/run.py --trace 1` reports the
+`metrics.kernels.levenshtein_us` and `metrics.kernels.lcs_us` timings.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
-import numpy as np
-
-_FORCE_NUMPY = os.environ.get("LRMT_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by LRMT_NO_NUMBA")
-    from numba import njit
-
-    BACKEND = "numba"
-except ImportError:
-    njit = None
-    BACKEND = "numpy"
+BACKEND = "bitparallel"
 
 
-def _levenshtein_np(a: np.ndarray, b: np.ndarray) -> int:
-    m = b.size
-    idx = np.arange(m + 1, dtype=np.int64)
-    prev = idx.copy()
-    t = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, a.size + 1):
-        t[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + (b != a[i - 1]), out=t[1:])
-        # resolve the left-to-right min(cur[j-1]+1) dependency in one pass:
-        # cur[j] = min_k<=j (t[k] + j - k)
-        prev = np.minimum.accumulate(t - idx) + idx
-    return int(prev[m])
+def match_masks(b: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Map each token to the bitmask of its positions in `b`."""
+    peq: dict[Hashable, int] = {}
+    for j, tok in enumerate(b):
+        peq[tok] = peq.get(tok, 0) | (1 << j)
+    return peq
 
 
-def _lcs_np(a: np.ndarray, b: np.ndarray) -> int:
-    prev = np.zeros(b.size + 1, dtype=np.int64)
-    t = np.empty(b.size + 1, dtype=np.int64)
-    for i in range(a.size):
-        t[0] = 0
-        np.maximum(prev[1:], prev[:-1] + (b == a[i]), out=t[1:])
-        # cur[j] = max(t[j], cur[j-1]); prev[j] <= prev[j-1]+1 makes t exact
-        prev = np.maximum.accumulate(t)
-    return int(prev[-1])
-
-
-if BACKEND == "numba":
-
-    @njit(cache=True)
-    def _levenshtein_nb(a: np.ndarray, b: np.ndarray) -> int:  # pragma: no cover
-        m = b.size
-        prev = np.arange(m + 1, dtype=np.int64)
-        cur = np.empty(m + 1, dtype=np.int64)
-        for i in range(1, a.size + 1):
-            cur[0] = i
-            for j in range(1, m + 1):
-                cost = 0 if a[i - 1] == b[j - 1] else 1
-                best = prev[j] + 1
-                if cur[j - 1] + 1 < best:
-                    best = cur[j - 1] + 1
-                if prev[j - 1] + cost < best:
-                    best = prev[j - 1] + cost
-                cur[j] = best
-            prev, cur = cur, prev
-        return int(prev[m])
-
-    @njit(cache=True)
-    def _lcs_nb(a: np.ndarray, b: np.ndarray) -> int:  # pragma: no cover
-        m = b.size
-        prev = np.zeros(m + 1, dtype=np.int64)
-        cur = np.empty(m + 1, dtype=np.int64)
-        for i in range(a.size):
-            cur[0] = 0
-            for j in range(1, m + 1):
-                if a[i] == b[j - 1]:
-                    cur[j] = prev[j - 1] + 1
-                elif prev[j] >= cur[j - 1]:
-                    cur[j] = prev[j]
-                else:
-                    cur[j] = cur[j - 1]
-            prev, cur = cur, prev
-        return int(prev[m])
-
-    _levenshtein_ids = _levenshtein_nb
-    _lcs_ids = _lcs_nb
-else:
-    _levenshtein_ids = _levenshtein_np
-    _lcs_ids = _lcs_np
-
-
-def encode_pair(a: Sequence[Hashable], b: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
-    """Map two token sequences onto int64 ids over their joint vocabulary."""
-    vocab: dict[Hashable, int] = {}
-    def enc(seq):
-        out = np.empty(len(seq), dtype=np.int64)
-        for i, tok in enumerate(seq):
-            out[i] = vocab.setdefault(tok, len(vocab))
-        return out
-    return enc(a), enc(b)
+def levenshtein_masks(a: Sequence[Hashable], peq: Mapping[Hashable, int], m: int) -> int:
+    """Edit distance from `a` to the length-`m` sequence whose `match_masks` is `peq`."""
+    if m == 0:
+        return len(a)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    vp, vn, score = mask, 0, m
+    for tok in a:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+    return score
 
 
 def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Word-level edit distance (unit-cost insert/delete/substitute)."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    xa, xb = encode_pair(a, b)
-    return _levenshtein_ids(xa, xb)
+    return levenshtein_masks(a, match_masks(b), len(b))
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence."""
-    if not a or not b:
-        return 0
-    xa, xb = encode_pair(a, b)
-    return _lcs_ids(xa, xb)
-
-
-def levenshtein_ids(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance over pre-encoded int64 arrays (hot path, no dict work)."""
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
-    return _levenshtein_ids(a, b)
+    peq = match_masks(b)
+    mask = (1 << len(b)) - 1
+    v = mask
+    for tok in a:
+        u = v & peq.get(tok, 0)
+        v = ((v + u) | (v - u)) & mask
+    return len(b) - v.bit_count()

@@ -2,29 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Mapping
 
 from ..errors import ValidationError
-from ._kernels import levenshtein_ids
+from ._kernels import levenshtein_masks, match_masks
 from .tokenizer import TokenizedSentence
 
 MAX_SHIFT_SIZE = 10
 MAX_SHIFT_DIST = 50
 
 
-def _encode(hyp: tuple[str, ...], ref: tuple[str, ...]) -> tuple[list[int], list[int]]:
-    vocab: dict[str, int] = {}
-    return (
-        [vocab.setdefault(t, len(vocab)) for t in hyp],
-        [vocab.setdefault(t, len(vocab)) for t in ref],
-    )
-
-
-def _dist(a: list[int], b: np.ndarray) -> int:
-    return levenshtein_ids(np.asarray(a, dtype=np.int64), b)
-
-
-def _best_shift(current: list[int], ref_arr: np.ndarray, base: int):
+def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, base: int):
     """The single block move that reduces edit distance the most.
 
     Every contiguous block up to the size cap is tried at every landing
@@ -44,7 +32,7 @@ def _best_shift(current: list[int], ref_arr: np.ndarray, base: int):
                 if k == i or abs(i - k) > MAX_SHIFT_DIST:
                     continue
                 cand = remaining[:k] + block + remaining[k:]
-                d = _dist(cand, ref_arr)
+                d = levenshtein_masks(cand, ref_masks, ref_len)
                 if d < best_dist:
                     best_dist = d
                     best = cand
@@ -57,13 +45,12 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
     """(edit count, rate). Rate = edits / reference length, unscaled."""
     if len(ref) == 0:
         raise ValidationError("TER needs a non-empty reference")
-    hyp_ids, ref_ids = _encode(hyp.tokens, ref.tokens)
-    ref_arr = np.asarray(ref_ids, dtype=np.int64)
-    current = hyp_ids
+    ref_masks = match_masks(ref.tokens)
+    current = list(hyp.tokens)
     shifts = 0
-    dist = _dist(current, ref_arr)
+    dist = levenshtein_masks(current, ref_masks, len(ref))
     while dist > 0:
-        found = _best_shift(current, ref_arr, dist)
+        found = _best_shift(current, ref_masks, len(ref), dist)
         if found is None:
             break
         current, dist = found

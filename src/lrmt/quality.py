@@ -261,7 +261,9 @@ class EmbeddingClient:
         )
 
     @staticmethod
-    def _parse(body: dict, expected: int) -> np.ndarray:
+    def _parse(body: object, expected: int) -> np.ndarray:
+        if not isinstance(body, dict):
+            raise ProviderError(f"embed response is a JSON {type(body).__name__}, not an object")
         vectors = body.get("vectors")
         dim = body.get("dim")
         if not isinstance(vectors, list) or len(vectors) != expected:
@@ -269,9 +271,14 @@ class EmbeddingClient:
                 f"embed response carries {len(vectors) if isinstance(vectors, list) else 'no'} "
                 f"vectors for {expected} texts"
             )
-        arr = np.asarray(vectors, dtype=np.float64)
+        try:
+            arr = np.asarray(vectors, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProviderError(f"embed response vectors are not rows of numbers: {exc}") from exc
         if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
             raise ProviderError(f"embed response shape {arr.shape} disagrees with dim={dim}")
+        if not np.isfinite(arr).all():
+            raise ProviderError("embed response holds a non-finite vector entry")
         return arr
 
 
