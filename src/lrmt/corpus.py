@@ -348,7 +348,7 @@ def infer_format(path: str | Path) -> str:
         return "tsv"
     if suffix == ".jsonl":
         return "jsonl"
-    raise IngestError(f"cannot infer format from {path!r}; pass --format")
+    raise IngestError(f"cannot infer format from {path!r}; pass the format argument")
 
 
 def load_corpus(

@@ -17,7 +17,7 @@ from .meteor import (  # noqa: F401
     meteor_corpus,
     meteor_sentence,
 )
-from .report import MetricReport, evaluate_corpus, report_from_bleu_stats  # noqa: F401
+from .report import MetricReport, evaluate_corpus  # noqa: F401
 from .rouge import rouge_l_corpus, rouge_l_sentence  # noqa: F401
 from .ter import ter_corpus, ter_sentence  # noqa: F401
 from .tokenizer import TokenizedSentence, tokenize_13a  # noqa: F401

@@ -65,31 +65,6 @@ class MetricReport:
         return "\n".join([header, rule, row])
 
 
-def report_from_bleu_stats(
-    stats: BleuStats,
-    chrf_score: float = 0.0,
-    ter_rate: float = 0.0,
-    rouge: float = 0.0,
-    meteor: float = 0.0,
-) -> MetricReport:
-    """Build a report directly from BLEU sufficient statistics.
-
-    Lets a stored stats block be re-scored without the sentences that
-    produced it; the other metric slots default to zero.
-    """
-    score, precisions, bp = bleu_from_stats(stats)
-    return MetricReport(
-        bleu=score,
-        precisions=precisions,
-        bp=bp,
-        chrf=chrf_score,
-        ter=ter_rate * 100.0,
-        rouge_l=rouge,
-        meteor=meteor,
-        signature=SIGNATURE,
-    )
-
-
 def _mean(xs: Sequence[float]) -> float:
     return sum(xs) / len(xs)
 

@@ -245,13 +245,11 @@ class OverlapReport:
         return "\n".join(lines)
 
 
-def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus], side: str = "source") -> OverlapReport:
-    """Report every train/eval pair sharing identical text on the chosen side.
+def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:
+    """Report every train/eval pair sharing identical source text.
 
     Only train-vs-eval is checked; eval-vs-eval sharing is out of scope.
     """
-    if side != "source":
-        raise ValidationError(f"overlap check supports side='source', got {side!r}")
     train_by_text: dict[str, list[str]] = {}
     for p in train:
         train_by_text.setdefault(p.source_text, []).append(p.id)

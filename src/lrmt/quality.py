@@ -9,14 +9,17 @@ embedding service is only touched at that one boundary.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass
+import urllib.error
+import urllib.request
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional, Sequence
-
-import numpy as np
-import requests
 
 from .corpus import Corpus, SentencePair
 from .errors import ProviderError, ValidationError
@@ -27,36 +30,31 @@ MAX_EMBED_BATCH = 512  # server-side request cap
 
 @dataclass(frozen=True)
 class ScorePopulation:
-    """Scores with their population mean/std (N denominator, not N-1)."""
+    """Scores with their population mean/std (N denominator, not N-1), derived
+    from `scores` by two-pass compensated sums."""
 
     scores: tuple[float, ...]
-    n: int
-    mean: float
-    std: float
+    n: int = field(init=False)
+    mean: float = field(init=False)
+    std: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n != len(self.scores):
-            raise ValidationError(f"n={self.n} but {len(self.scores)} scores")
+        if not self.scores:
+            raise ValidationError("population_stats needs at least one score")
         for s in self.scores:
             if not -1.0 <= s <= 1.0:
                 raise ValidationError(f"score {s} outside [-1, 1]")
-        mean, std = _two_pass_stats(self.scores)
-        if abs(mean - self.mean) > 1e-9 or abs(std - self.std) > 1e-9:
-            raise ValidationError("stored mean/std disagree with recomputation")
-
-
-def _two_pass_stats(scores: Sequence[float]) -> tuple[float, float]:
-    mean = math.fsum(scores) / len(scores)
-    var = math.fsum((s - mean) ** 2 for s in scores) / len(scores)
-    return mean, math.sqrt(var)
+        n = len(self.scores)
+        mean = math.fsum(self.scores) / n
+        var = math.fsum((s - mean) ** 2 for s in self.scores) / n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", math.sqrt(var))
 
 
 def population_stats(scores: Sequence[float]) -> ScorePopulation:
     """Mean and population standard deviation via two-pass compensated sums."""
-    if not scores:
-        raise ValidationError("population_stats needs at least one score")
-    mean, std = _two_pass_stats(scores)
-    return ScorePopulation(scores=tuple(scores), n=len(scores), mean=mean, std=std)
+    return ScorePopulation(tuple(scores))
 
 
 @dataclass(frozen=True)
@@ -78,12 +76,13 @@ def retention_curve(scores: Sequence[float], thresholds: Sequence[float]) -> Ret
     """Fraction of scores >= t (inclusive) for each threshold."""
     if not scores:
         raise ValidationError("retention_curve needs at least one score")
+    if any(map(math.isnan, chain(scores, thresholds))):
+        raise ValidationError("retention_curve got a NaN score or threshold")
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be sorted ascending")
-    n = len(scores)
-    points = tuple(
-        (float(t), sum(1 for s in scores if s >= t) / n) for t in thresholds
-    )
+    ordered = sorted(scores)
+    n = len(ordered)
+    points = tuple((float(t), (n - bisect_left(ordered, t)) / n) for t in thresholds)
     return RetentionCurve(points=points)
 
 
@@ -177,11 +176,17 @@ def histogram_csv(
     """CSV of (bin_low, bin_high, count) over equal-width bins."""
     if not scores:
         raise ValidationError("histogram needs at least one score")
-    edges = np.linspace(low, high, bins + 1)
-    counts, _ = np.histogram(np.asarray(scores, dtype=np.float64), bins=edges)
+    if bins < 1 or not low < high:
+        raise ValidationError(f"histogram needs bins >= 1 and low < high, got {bins}, {low}, {high}")
+    step = (high - low) / bins
+    edges = [low + i * step for i in range(bins)] + [high]
+    counts = [0] * bins
+    for x in scores:
+        if low <= x <= high:  # the last bin is closed; out-of-range values are dropped
+            counts[min(bisect_right(edges, x), bins) - 1] += 1
     lines = ["bin_low,bin_high,count"]
     for i in range(bins):
-        lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(counts[i])}")
+        lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{counts[i]}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,22 +211,25 @@ def analysis_report(
     }
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped into [-1, 1] against rounding spill."""
-    if u.shape != v.shape:
-        raise ProviderError(f"embedding dimension mismatch: {u.shape} vs {v.shape}")
-    denom = float(np.linalg.norm(u) * np.linalg.norm(v))
+def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """Cosine similarity with correctly rounded sums, clamped into [-1, 1]
+    against rounding spill."""
+    if len(u) != len(v):
+        raise ProviderError(f"embedding dimension mismatch: {len(u)} vs {len(v)}")
+    denom = math.sqrt(math.fsum(x * x for x in u)) * math.sqrt(math.fsum(y * y for y in v))
     if denom == 0.0:
         return 0.0
-    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / denom)))
+    return min(1.0, max(-1.0, math.fsum(map(operator.mul, u, v)) / denom))
 
 
 class EmbeddingClient:
     """Client for the sentence-embedding sidecar: POST {url}/embed
     {"texts": [...]} -> {"vectors": [[...]], "dim": n, "model_id": str}.
 
-    Non-200 responses and transport errors are retried with exponential
-    backoff; a malformed 200 body is a contract violation and fails fast.
+    Transport errors and 5xx, 408 and 429 responses are retried with
+    exponential backoff. Any other 4xx means the request itself is wrong and
+    fails after one attempt, and a 2xx body that is not JSON or breaks the
+    contract fails fast; all of these raise ProviderError.
     """
 
     def __init__(
@@ -231,37 +239,49 @@ class EmbeddingClient:
         max_attempts: int = 3,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        # urllib would also open file:// and ftp:// URLs; the service speaks HTTP only
+        if not base_url.startswith(("http://", "https://")):
+            raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.max_attempts = max_attempts
         self._sleep = sleep
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         if not 1 <= len(texts) <= MAX_EMBED_BATCH:
             raise ValidationError(
                 f"embed batch size {len(texts)} outside 1..{MAX_EMBED_BATCH}"
             )
+        data = json.dumps({"texts": list(texts)}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        request = urllib.request.Request(f"{self.base_url}/embed", data, headers)
         last_error = "no attempt made"
         for attempt in range(self.max_attempts):
             if attempt:
                 self._sleep(1.0 * 2 ** (attempt - 1))
             try:
-                resp = requests.post(
-                    f"{self.base_url}/embed", json={"texts": list(texts)}, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    raw = resp.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                    raise ProviderError(f"embedding service rejected the request: HTTP {exc.code}")
+                last_error = f"HTTP {exc.code}"
+                continue
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = str(exc)
                 continue
-            if resp.status_code != 200:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            return self._parse(resp.json(), len(texts))
+            try:
+                body = json.loads(raw)
+            except ValueError as exc:
+                raise ProviderError(f"embed response is not JSON: {exc}") from exc
+            return self._parse(body, len(texts))
         raise ProviderError(
             f"embedding service unreachable after {self.max_attempts} attempts: {last_error}"
         )
 
     @staticmethod
-    def _parse(body: object, expected: int) -> np.ndarray:
+    def _parse(body: object, expected: int) -> list[list[float]]:
         if not isinstance(body, dict):
             raise ProviderError(f"embed response is a JSON {type(body).__name__}, not an object")
         vectors = body.get("vectors")
@@ -271,15 +291,17 @@ class EmbeddingClient:
                 f"embed response carries {len(vectors) if isinstance(vectors, list) else 'no'} "
                 f"vectors for {expected} texts"
             )
+        if not all(isinstance(row, list) for row in vectors):
+            raise ProviderError("embed response vectors are not rows of numbers")
+        widths = {len(row) for row in vectors}
+        if len(widths) != 1 or dim not in (None, *widths):
+            raise ProviderError(f"embed response row widths {sorted(widths)} disagree with dim={dim}")
         try:
-            arr = np.asarray(vectors, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            if not all(map(math.isfinite, chain.from_iterable(vectors))):
+                raise ProviderError("embed response holds a non-finite vector entry")
+        except (TypeError, OverflowError) as exc:
             raise ProviderError(f"embed response vectors are not rows of numbers: {exc}") from exc
-        if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
-            raise ProviderError(f"embed response shape {arr.shape} disagrees with dim={dim}")
-        if not np.isfinite(arr).all():
-            raise ProviderError("embed response holds a non-finite vector entry")
-        return arr
+        return [list(map(float, row)) for row in vectors]
 
 
 class ScoringError(ProviderError):
@@ -321,12 +343,9 @@ def score_pairs(
         try:
             src_vecs = embedder.embed([p.source_text for p in batch])
             tgt_vecs = embedder.embed([p.target_text for p in batch])
+            # cosine raises ProviderError on a width mismatch, at the batch's first pair
+            for pair, u, v in zip(batch, src_vecs, tgt_vecs):
+                scored[pair.id] = cosine(u, v)
         except ProviderError as exc:
             return result(error=f"scoring stopped at pair {batch[0].id}: {exc}")
-        if src_vecs.shape != tgt_vecs.shape:
-            return result(
-                error=f"embedding dimension mismatch: {src_vecs.shape} vs {tgt_vecs.shape}"
-            )
-        for pair, u, v in zip(batch, src_vecs, tgt_vecs):
-            scored[pair.id] = cosine(u, v)
     return result()

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lrmt.metrics
 from lrmt.metrics._kernels import lcs_length, levenshtein
 
@@ -78,11 +80,13 @@ class TestBackends:
     def test_backend_reported(self):
         assert lrmt.metrics.BACKEND == "bitparallel"
 
-    def test_metrics_import_leaves_numpy_out(self):
+    @pytest.mark.parametrize("dependency", ["numpy", "requests"])
+    @pytest.mark.parametrize("module", ["lrmt.metrics", "lrmt.quality", "lrmt.pipeline", "lrmt.corpus"])
+    def test_import_leaves_dependency_out(self, module, dependency):
         src = str(Path(lrmt.metrics.__file__).resolve().parents[2])
         code = (
-            f"import sys; sys.path.insert(0, {src!r}); import lrmt.metrics; "
-            "print('numpy' in sys.modules)"
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print({dependency!r} in sys.modules)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True

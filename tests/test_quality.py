@@ -1,17 +1,31 @@
+import json
 import math
+import random
+import statistics
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
-from lrmt.errors import ProviderError
-from lrmt.quality import EmbeddingClient
+from lrmt.corpus import ENG_LATN, SMOLSENT, TRP_LATN, Corpus, SentencePair
+from lrmt.errors import ProviderError, ValidationError
+from lrmt.quality import (
+    EmbeddingClient,
+    ScorePopulation,
+    ScoringError,
+    cosine,
+    histogram_csv,
+    population_stats,
+    retention_curve,
+    score_pairs,
+)
 
 
 class TestEmbeddingParse:
     def test_well_formed(self):
-        arr = EmbeddingClient._parse({"vectors": [[0.5, 1.0], [2.0, -1.0]], "dim": 2}, 2)
-        assert arr.shape == (2, 2)
-        assert np.array_equal(arr, [[0.5, 1.0], [2.0, -1.0]])
+        rows = EmbeddingClient._parse({"vectors": [[0.5, 1.0], [2.0, -1.0]], "dim": 2}, 2)
+        assert rows == [[0.5, 1.0], [2.0, -1.0]]
 
     @pytest.mark.parametrize("body", [[[0.5, 1.0]], "vectors", None, 3])
     def test_body_not_an_object(self, body):
@@ -23,7 +37,248 @@ class TestEmbeddingParse:
         with pytest.raises(ProviderError):
             EmbeddingClient._parse({"vectors": [[0.5, 1.0], [bad, 1.0]], "dim": 2}, 2)
 
-    @pytest.mark.parametrize("vectors", [[[0.5, 1.0], [2.0]], [["a", "b"]]])
+    @pytest.mark.parametrize(
+        "vectors", [[[0.5, 1.0], [2.0]], [["a", "b"]], [["0.5", "1.0"]], [0.5, 1.0]]
+    )
     def test_rows_not_numeric(self, vectors):
         with pytest.raises(ProviderError):
             EmbeddingClient._parse({"vectors": vectors}, len(vectors))
+
+
+# --- the numpy code these functions replaced, kept as their reference ---
+
+
+def np_cosine(u, v):
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    denom = float(np.linalg.norm(u) * np.linalg.norm(v))
+    if denom == 0.0:
+        return 0.0
+    return float(min(1.0, max(-1.0, float(np.dot(u, v)) / denom)))
+
+
+def np_histogram_csv(scores, bins=50, low=-1.0, high=1.0):
+    edges = np.linspace(low, high, bins + 1)
+    counts, _ = np.histogram(np.asarray(scores, dtype=np.float64), bins=edges)
+    lines = ["bin_low,bin_high,count"]
+    for i in range(bins):
+        lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(counts[i])}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCosine:
+    def test_exact_on_k_over_32768_vectors(self):
+        # every product and sum of such components is exact, so any order agrees
+        rng = random.Random(5)
+        for _ in range(300):
+            dim = rng.randrange(1, 769)
+            u = [rng.randrange(-32768, 32768) / 32768.0 for _ in range(dim)]
+            v = [rng.randrange(-32768, 32768) / 32768.0 for _ in range(dim)]
+            assert cosine(u, v) == np_cosine(u, v)
+
+    def test_close_on_gaussian_vectors(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            dim = rng.randrange(1, 769)
+            u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+            v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+            assert abs(cosine(u, v) - np_cosine(u, v)) <= 1e-15
+            # correctly rounded sums: the order of the components cannot matter
+            assert cosine(u[::-1], v[::-1]) == cosine(u, v)
+
+    def test_zero_vector(self):
+        assert cosine([0.0, 0.0], [0.5, 1.0]) == 0.0
+
+    def test_clamped(self):
+        # unclamped, u.u / (|u| |u|) rounds to 1.0000000000000002 here
+        u = [-1.0, -0.1]
+        assert cosine(u, u) == 1.0
+        assert cosine(u, [-x for x in u]) == -1.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ProviderError):
+            cosine([1.0, 0.0], [1.0])
+
+
+class TestHistogram:
+    @pytest.mark.parametrize("bins", [1, 7, 50])
+    def test_matches_numpy(self, bins):
+        rng = random.Random(bins)
+        for low, high in [(-1.0, 1.0), (0.0, 1.0), (-0.3, 0.7)]:
+            edges = np.linspace(low, high, bins + 1).tolist()
+            near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+            spread = [rng.uniform(low - 0.2, high + 0.2) for _ in range(500)]
+            scores = spread + edges + near + [-1.0, 1.0]
+            rng.shuffle(scores)
+            assert histogram_csv(scores, bins, low, high) == np_histogram_csv(scores, bins, low, high)
+
+    def test_out_of_range_and_non_finite_dropped(self):
+        out = histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25], bins=2)
+        assert out == np_histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25], bins=2)
+        assert out.endswith(",1\n")
+
+    @pytest.mark.parametrize("bins, low, high", [(0, -1.0, 1.0), (-3, -1.0, 1.0), (5, 1.0, -1.0)])
+    def test_bad_arguments(self, bins, low, high):
+        with pytest.raises(ValidationError):
+            histogram_csv([0.5], bins, low, high)
+
+
+def _grid_scores(rng, n):
+    # scores on a 1/8 grid, so many sit exactly on a threshold
+    return [rng.randrange(-8, 9) / 8 for _ in range(n)]
+
+
+class TestPopulationStats:
+    def test_matches_brute_force(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3, 50, 1000):
+            scores = _grid_scores(rng, n) if n % 2 else [rng.uniform(-1, 1) for _ in range(n)]
+            pop = population_stats(scores)
+            assert pop.scores == tuple(scores)
+            assert pop.n == n
+            assert math.isclose(pop.mean, statistics.fmean(scores), rel_tol=1e-12, abs_tol=1e-15)
+            assert math.isclose(pop.std, statistics.pstdev(scores), rel_tol=1e-12, abs_tol=1e-15)
+
+    def test_stats_are_derived_not_passed(self):
+        assert ScorePopulation((0.5, -0.5)).std == 0.5
+        with pytest.raises(TypeError):
+            ScorePopulation(scores=(0.5,), n=1, mean=0.5, std=0.0)
+
+    @pytest.mark.parametrize("scores", [[], [1.5], [0.0, -1.01], [math.nan]])
+    def test_rejects(self, scores):
+        with pytest.raises(ValidationError):
+            population_stats(scores)
+
+
+class TestRetentionCurve:
+    def test_matches_brute_force_with_ties(self):
+        rng = random.Random(12)
+        for n in (1, 2, 17, 400):
+            scores = _grid_scores(rng, n)
+            thresholds = sorted({rng.randrange(-9, 10) / 8 for _ in range(12)} | {0.3, -1.0, 1.0})
+            curve = retention_curve(scores, thresholds)
+            assert curve.points == tuple(
+                (t, sum(1 for s in scores if s >= t) / n) for t in thresholds
+            )
+
+    @pytest.mark.parametrize(
+        "scores, thresholds", [([], [0.0]), ([0.5], [0.5, 0.0]), ([math.nan], [0.0]), ([0.5], [math.nan])]
+    )
+    def test_rejects(self, scores, thresholds):
+        with pytest.raises(ValidationError):
+            retention_curve(scores, thresholds)
+
+
+# --- the HTTP boundary, against a scripted stdlib server on 127.0.0.1 ---
+
+
+def _vector(text):
+    return [float(len(text)), 1.0]
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the server's next (status, body) reply; the last
+    reply repeats. A body of None is a well-formed answer for the texts."""
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        server.content_types.append(self.headers["Content-Type"])
+        server.requests += 1
+        status, body = server.replies[min(server.requests, len(server.replies)) - 1]
+        if body is None:
+            body = json.dumps({"vectors": [_vector(t) for t in request["texts"]], "dim": 2}).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def serve():
+    """serve(*replies) -> (server, client for it that never sleeps)."""
+    servers = []
+
+    def start(*replies):
+        server = HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        server.replies, server.requests, server.content_types = replies, 0, []
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+        servers.append(server)
+        url = f"http://127.0.0.1:{server.server_port}"
+        return server, EmbeddingClient(url, timeout=5.0, sleep=lambda s: None)
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+class TestEmbeddingClient:
+    def test_well_formed(self, serve):
+        server, client = serve((200, None))
+        assert client.embed(["ab", "c"]) == [[2.0, 1.0], [1.0, 1.0]]
+        assert server.requests == 1
+        assert server.content_types == ["application/json"]
+
+    @pytest.mark.parametrize("status", [503, 500, 408, 429])
+    def test_transient_error_retried(self, serve, status):
+        server, client = serve((status, b"busy"), (200, None))
+        assert client.embed(["abc"]) == [[3.0, 1.0]]
+        assert server.requests == 2
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_client_error_fails_after_one_request(self, serve, status):
+        server, client = serve((status, b"bad request"), (200, None))
+        with pytest.raises(ProviderError, match=f"HTTP {status}"):
+            client.embed(["abc"])
+        assert server.requests == 1
+
+    def test_gives_up_after_max_attempts(self, serve):
+        server, client = serve((503, b""))
+        with pytest.raises(ProviderError, match="after 3 attempts: HTTP 503"):
+            client.embed(["abc"])
+        assert server.requests == 3
+
+    @pytest.mark.parametrize("body", [b"<html>oops</html>", b"", b"\xff\xfe{"], ids=["html", "empty", "bom"])
+    def test_non_json_200(self, serve, body):
+        server, client = serve((200, body))
+        with pytest.raises(ProviderError, match="not JSON"):
+            client.embed(["abc"])
+        assert server.requests == 1
+
+    @pytest.mark.parametrize("url", ["127.0.0.1:8000", "file:///etc", "ftp://127.0.0.1"])
+    def test_url_not_http(self, url):
+        with pytest.raises(ValidationError):
+            EmbeddingClient(url)
+
+    def test_unreachable(self, serve):
+        server, client = serve((200, None))
+        server.shutdown()
+        server.server_close()
+        with pytest.raises(ProviderError, match="unreachable after 3 attempts"):
+            client.embed(["abc"])
+
+    def test_score_pairs_keeps_partial_progress(self, serve):
+        pairs = [
+            SentencePair(f"p{i}", "a" * (i + 1), "b" * (3 * i + 1), ENG_LATN, TRP_LATN, SMOLSENT)
+            for i in range(4)
+        ]
+        # batch 1 (source, target) succeeds; batch 2 fails on every attempt
+        server, client = serve((200, None), (200, None), (503, b""))
+        with pytest.raises(ScoringError) as info:
+            score_pairs(Corpus.from_pairs(pairs), client, batch_size=2)
+        partial = {p.id: p.score for p in info.value.partial}
+        assert partial == {
+            p.id: (cosine(_vector(p.source_text), _vector(p.target_text)) if i < 2 else None)
+            for i, p in enumerate(pairs)
+        }
+        assert server.requests == 2 + 3
+
+    def test_score_pairs_width_mismatch(self, serve):
+        pair = SentencePair("p0", "a", "b", ENG_LATN, TRP_LATN, SMOLSENT)
+        server, client = serve((200, None), (200, b'{"vectors": [[1.0, 2.0, 3.0]], "dim": 3}'))
+        with pytest.raises(ScoringError, match="dimension mismatch: 2 vs 3") as info:
+            score_pairs(Corpus.from_pairs([pair]), client)
+        assert [p.score for p in info.value.partial] == [None]
