@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 import lrmt.metrics
-from lrmt.metrics._kernels import lcs_length, levenshtein
+from lrmt.metrics._kernels import (
+    lcs_length,
+    levenshtein,
+    levenshtein_masks,
+    levenshtein_prefix_states,
+    levenshtein_resume,
+    match_masks,
+)
 
 
 def lev_oracle(a, b):
@@ -55,6 +62,56 @@ class TestLevenshtein:
             a = [rng.randrange(vocab) for _ in range(rng.randrange(0, 141))]
             b = [rng.randrange(vocab) for _ in range(rng.randrange(0, 141))]
             assert levenshtein(a, b) == lev_oracle(a, b)
+
+
+class TestResume:
+    def random_case(self, rng):
+        vocab = rng.randrange(1, 21)
+        a = [rng.randrange(vocab) for _ in range(rng.randrange(0, 81))]
+        b = [rng.randrange(vocab) for _ in range(rng.randrange(1, 81))]
+        return a, b
+
+    def test_prefix_states_score_each_prefix(self):
+        rng = random.Random(80)
+        for _ in range(30):
+            a, b = self.random_case(rng)
+            states = levenshtein_prefix_states(a, match_masks(b), len(b))
+            assert [score for _, _, score in states] == [
+                lev_oracle(a[:p], b) for p in range(len(a) + 1)
+            ]
+
+    def test_resume_equals_whole_sequence(self):
+        rng = random.Random(81)
+        for _ in range(200):
+            a, b = self.random_case(rng)
+            peq = match_masks(b)
+            states = levenshtein_prefix_states(a, peq, len(b))
+            p = rng.randrange(len(a) + 1)
+            # the rest of `a`, or any other continuation of the shared prefix
+            rest = a[p:]
+            if rng.random() < 0.5:
+                rest = [rng.randrange(20) for _ in range(rng.randrange(0, 41))]
+            whole = a[:p] + rest
+            # a bound no distance reaches: the plain resume
+            state = levenshtein_resume(rest, peq, len(b), states[p], len(whole) + len(b) + 1)
+            assert state[2] == lev_oracle(whole, b)
+            assert state == levenshtein_prefix_states(whole, peq, len(b))[-1]
+            assert levenshtein_masks(whole, peq, len(b)) == state[2]
+
+    def test_bound_gives_up_only_at_or_above_it(self):
+        rng = random.Random(82)
+        for _ in range(200):
+            a, b = self.random_case(rng)
+            peq = match_masks(b)
+            states = levenshtein_prefix_states(a, peq, len(b))
+            p = rng.randrange(len(a) + 1)
+            true = lev_oracle(a, b)
+            for bound in range(true - 2, true + 3):
+                state = levenshtein_resume(a[p:], peq, len(b), states[p], bound)
+                if true < bound:
+                    assert state == states[-1]
+                else:
+                    assert state is None
 
 
 class TestLcs:

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.ter import MAX_SHIFT_DIST, MAX_SHIFT_SIZE, ter_corpus, ter_sentence
+from lrmt.metrics._kernels import levenshtein_masks, match_masks
+from lrmt.metrics.ter import MAX_SHIFT_DIST, MAX_SHIFT_SIZE, _best_shift, ter_corpus, ter_sentence
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 
@@ -50,6 +52,37 @@ def oracle_edits(hyp, ref):
                         nxt.append(cand)
         frontier = nxt
     return best
+
+
+def reference_best_shift(current, ref_masks, ref_len, base):
+    """The plain scan: every candidate built and scored in full, in scan order."""
+    best = None
+    best_dist = base
+    n = len(current)
+    for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
+        for i in range(n - size + 1):
+            block = current[i : i + size]
+            remaining = current[:i] + current[i + size :]
+            for k in range(len(remaining) + 1):
+                if k == i or abs(i - k) > MAX_SHIFT_DIST:
+                    continue
+                cand = remaining[:k] + block + remaining[k:]
+                d = levenshtein_masks(cand, ref_masks, ref_len)
+                if d < best_dist:
+                    best_dist = d
+                    best = cand
+    if best is None:
+        return None
+    return best, best_dist
+
+
+def best_shift(hyp, ref, search=_best_shift):
+    ref_masks = match_masks(ref)
+    return search(hyp, ref_masks, len(ref), levenshtein_masks(hyp, ref_masks, len(ref)))
+
+
+def assert_same_best_shift(hyp, ref):
+    assert best_shift(hyp, ref) == best_shift(hyp, ref, reference_best_shift), (hyp, ref)
 
 
 def sent(text):
@@ -99,6 +132,37 @@ class TestTerSentence:
             ref = tuple(rng.choice(vocab) for _ in range(rng.randrange(1, 6)))
             edits, _ = ter_sentence(toks(*hyp), toks(*ref))
             assert edits == oracle_edits(hyp, ref), (hyp, ref)
+
+    def test_best_shift_matches_plain_scan(self):
+        # tiny vocabularies make ties common, so a changed tie-break shows;
+        # past 10 tokens MAX_SHIFT_SIZE limits the blocks
+        rng = random.Random(50)
+        for _ in range(80):
+            vocab = "abcd"[: rng.randrange(1, 5)]
+            hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 21))]
+            ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 21))]
+            assert_same_best_shift(hyp, ref)
+
+    def test_best_shift_matches_plain_scan_on_permutations(self):
+        # distinct tokens: every block of a 6-token hyp at every landing
+        ref = list("abcdef")
+        for hyp in itertools.permutations(ref):
+            assert_same_best_shift(list(hyp), ref)
+
+    def test_best_shift_matches_plain_scan_past_distance_cap(self):
+        # from 52 tokens on, MAX_SHIFT_DIST keeps some landings out of reach:
+        # "x" fixes these in one shift of 50 places, but not of 51
+        within = [f"w{j}" for j in range(50)]
+        assert best_shift(["x"] + within, within + ["x"]) == (within + ["x"], 0)
+        assert best_shift(within + ["x"], ["x"] + within) == (["x"] + within, 0)
+        beyond = within + ["w50"]
+        assert best_shift(["x"] + beyond, beyond + ["x"]) is None
+        assert best_shift(beyond + ["x"], ["x"] + beyond) is None
+        rng = random.Random(51)
+        vocab = "abcdefgh"[: rng.randrange(2, 9)]
+        hyp = [rng.choice(vocab) for _ in range(rng.randrange(52, 61))]
+        ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 61))]
+        assert_same_best_shift(hyp, ref)
 
     def test_empty_ref_rejected(self):
         with pytest.raises(ValidationError):
