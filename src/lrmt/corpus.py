@@ -11,9 +11,10 @@ import json
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import IngestError, ValidationError
 
@@ -117,29 +118,23 @@ class SentencePair:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered sentence pairs plus source-composition metadata.
-
-    ``composition`` is recomputed and cross-checked on construction, so it can
-    never drift from the actual pair list.
-    """
+    """Ordered sentence pairs with unique ids."""
 
     pairs: tuple[SentencePair, ...]
     name: str = "corpus"
-    composition: Mapping[Origin, int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        counts: dict[Origin, int] = {}
         seen: set[str] = set()
         for pair in self.pairs:
             if pair.id in seen:
                 raise ValidationError(f"corpus {self.name!r}: duplicate pair id {pair.id!r}")
             seen.add(pair.id)
-            counts[pair.origin] = counts.get(pair.origin, 0) + 1
-        if self.composition is None:
-            object.__setattr__(self, "composition", counts)
-        elif dict(self.composition) != counts:
-            raise ValidationError(f"corpus {self.name!r}: composition map disagrees with recount")
+
+    @property
+    def composition(self) -> Counter[Origin]:
+        """Pair count per origin, counted from the pairs on each call."""
+        return Counter(pair.origin for pair in self.pairs)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[SentencePair], name: str = "corpus") -> "Corpus":
@@ -165,28 +160,14 @@ def escape_field(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_UNESCAPE_RE = re.compile(r"\\([tn\\])")
+_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def unescape_field(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    if "\\" not in text:
+        return text
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
 def _decode_utf8(path: Path) -> str:
@@ -290,11 +271,10 @@ def _parse_row(
             pair_id = obj["id"]
         else:
             pair_id = f"{origin.label}:{row_index}"
-        if obj.get("score") is not None:
-            try:
-                score = float(obj["score"])
-            except (TypeError, ValueError) as exc:
-                raise _RowError(f"bad score value {obj['score']!r}") from exc
+        score = obj.get("score")
+        # bool is an int subclass, and a numeric string is not a number
+        if score is not None and type(score) not in (int, float):
+            raise _RowError(f"bad score value {score!r}: not a JSON number")
         if isinstance(obj.get("source_lang"), str):
             source_lang = LanguageTag(obj["source_lang"])
         if isinstance(obj.get("target_lang"), str):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .. import __version__
 from ..errors import ValidationError
-from .tokenizer import TokenizedSentence, tokenize_13a
+from .tokenizer import TokenizedSentence, check_parallel, tokenize_13a
 
 MAX_ORDER = 4
 
@@ -64,6 +65,13 @@ def sentence_stats(hyp: TokenizedSentence, ref: TokenizedSentence) -> BleuStats:
     )
 
 
+def corpus_stats(
+    hyps: Iterable[TokenizedSentence], refs: Iterable[TokenizedSentence]
+) -> BleuStats:
+    """Sentence statistics summed over a tokenized corpus."""
+    return sum(map(sentence_stats, hyps, refs), BleuStats.zero())
+
+
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
     if hyp_len == 0:
         return 0.0
@@ -104,12 +112,7 @@ def bleu_from_stats(stats: BleuStats) -> tuple[float, tuple[float, ...], float]:
 
 
 def bleu_corpus(hyps: list[str], refs: list[str]) -> tuple[float, BleuStats, str]:
-    if len(hyps) != len(refs):
-        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise ValidationError("empty corpus")
-    stats = BleuStats.zero()
-    for hyp, ref in zip(hyps, refs):
-        stats = stats + sentence_stats(tokenize_13a(hyp), tokenize_13a(ref))
+    check_parallel(hyps, refs)
+    stats = corpus_stats(map(tokenize_13a, hyps), map(tokenize_13a, refs))
     score, _, _ = bleu_from_stats(stats)
     return score, stats, SIGNATURE

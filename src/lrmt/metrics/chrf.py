@@ -4,15 +4,30 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..errors import ValidationError
+from .tokenizer import check_parallel
 
 DEFAULT_CHAR_ORDER = 6
 DEFAULT_BETA = 2.0
 
 
-def char_ngrams(text: str, order: int) -> Counter:
-    s = "".join(text.split())
-    return Counter(s[i : i + order] for i in range(len(s) - order + 1))
+def chrf_stats(hyp: str, ref: str, char_order: int) -> tuple[tuple[int, int, int], ...]:
+    """Per-order (matched, hyp total, ref total) char n-gram counts of one
+    segment, for orders 1..char_order.
+
+    Whitespace is removed first. One Counter per side holds the n-grams of
+    every order, keyed by the n-gram itself (its order is its length).
+    """
+    h = "".join(hyp.split())
+    r = "".join(ref.split())
+    orders = range(1, char_order + 1)
+    h_grams = Counter(h[i : i + n] for n in orders for i in range(len(h) - n + 1))
+    r_grams = Counter(r[i : i + n] for n in orders for i in range(len(r) - n + 1))
+    matched = [0] * char_order
+    for g in h_grams.keys() & r_grams.keys():
+        matched[len(g) - 1] += min(h_grams[g], r_grams[g])
+    return tuple(
+        (matched[n - 1], max(len(h) - n + 1, 0), max(len(r) - n + 1, 0)) for n in orders
+    )
 
 
 def chrf(
@@ -27,30 +42,18 @@ def chrf(
     where neither side produced any n-grams are left out of the mean; an order
     with grams on one side only contributes an F of 0.
     """
-    if len(hyps) != len(refs):
-        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise ValidationError("empty corpus")
-    matched = [0] * char_order
-    hyp_total = [0] * char_order
-    ref_total = [0] * char_order
-    for hyp, ref in zip(hyps, refs):
-        for n in range(1, char_order + 1):
-            h = char_ngrams(hyp, n)
-            r = char_ngrams(ref, n)
-            matched[n - 1] += sum(min(c, r[g]) for g, c in h.items())
-            hyp_total[n - 1] += sum(h.values())
-            ref_total[n - 1] += sum(r.values())
-
+    check_parallel(hyps, refs)
+    segments = [chrf_stats(h, r, char_order) for h, r in zip(hyps, refs)]
     f_sum = 0.0
     active_orders = 0
     b2 = beta * beta
-    for n in range(char_order):
-        if hyp_total[n] == 0 and ref_total[n] == 0:
+    for order in zip(*segments):
+        matched, hyp_total, ref_total = map(sum, zip(*order))
+        if hyp_total == 0 and ref_total == 0:
             continue
         active_orders += 1
-        p = matched[n] / hyp_total[n] if hyp_total[n] else 0.0
-        r = matched[n] / ref_total[n] if ref_total[n] else 0.0
+        p = matched / hyp_total if hyp_total else 0.0
+        r = matched / ref_total if ref_total else 0.0
         if b2 * p + r > 0:
             f_sum += (1 + b2) * p * r / (b2 * p + r)
     if active_orders == 0:

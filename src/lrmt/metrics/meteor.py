@@ -11,20 +11,26 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Optional
 
-from ..errors import ValidationError
-from .tokenizer import TokenizedSentence
+from ..errors import IngestError, ValidationError
+from .tokenizer import TokenizedSentence, check_parallel
 
 StemTable = Mapping[str, str]
 SynonymTable = Mapping[str, frozenset]
 
 
+def _table_lines(path: str | Path) -> list[str]:
+    """The stripped lines of a table file, less blank lines and #-comments."""
+    try:
+        text = Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"{path}: cannot read table: {exc}") from exc
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def load_stem_table(path: str | Path) -> dict[str, str]:
     """Lines of "word stem"; blank lines and #-comments ignored."""
     table: dict[str, str] = {}
-    for ln in Path(path).read_text("utf-8").splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _table_lines(path):
         parts = ln.split()
         if len(parts) != 2:
             raise ValidationError(f"bad stem line {ln!r}: expected 'word stem'")
@@ -35,10 +41,7 @@ def load_stem_table(path: str | Path) -> dict[str, str]:
 def load_synonym_table(path: str | Path) -> dict[str, frozenset]:
     """Lines of "word syn1 syn2 ..."; blank lines and #-comments ignored."""
     table: dict[str, frozenset] = {}
-    for ln in Path(path).read_text("utf-8").splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in _table_lines(path):
         parts = ln.split()
         if len(parts) < 2:
             raise ValidationError(f"bad synonym line {ln!r}: expected 'word syn...'")
@@ -113,10 +116,7 @@ def meteor_corpus(
     synonym_table: Optional[SynonymTable] = None,
 ) -> float:
     """Unweighted mean of sentence scores."""
-    if len(hyps) != len(refs):
-        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise ValidationError("empty corpus")
+    check_parallel(hyps, refs)
     return sum(
         meteor_sentence(h, r, stem_table, synonym_table) for h, r in zip(hyps, refs)
     ) / len(hyps)

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import ValidationError
-from .bleu import SIGNATURE, BleuStats, bleu_from_stats, sentence_stats
-from .chrf import DEFAULT_BETA, DEFAULT_CHAR_ORDER, chrf
+from .bleu import SIGNATURE, bleu_from_stats, corpus_stats
+from .chrf import chrf
 from .meteor import SynonymTable, StemTable, meteor_corpus
 from .rouge import rouge_l_corpus
 from .ter import ter_corpus
-from .tokenizer import tokenize_13a
+from .tokenizer import check_parallel, tokenize_13a
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class MetricReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def render_markdown(self) -> str:
         """One-row table in the standard column order; absent columns show an
@@ -76,32 +77,28 @@ def evaluate_corpus(
     comet_scores: Optional[Sequence[float]] = None,
     stem_table: Optional[StemTable] = None,
     synonym_table: Optional[SynonymTable] = None,
-    char_order: int = DEFAULT_CHAR_ORDER,
-    beta: float = DEFAULT_BETA,
 ) -> MetricReport:
-    if len(hyps) != len(refs):
-        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise ValidationError("empty corpus")
+    """Every metric over one corpus. chrF runs at its default orders and beta,
+    because the report does not record chrF settings."""
+    check_parallel(hyps, refs)
     for name, scores in (("embedding", embedding_scores), ("comet", comet_scores)):
-        if scores is not None and len(scores) != len(hyps):
+        if scores is None:
+            continue
+        if len(scores) != len(hyps):
             raise ValidationError(f"{name} scores length {len(scores)} != corpus size {len(hyps)}")
+        if not all(map(math.isfinite, scores)):
+            raise ValidationError(f"{name} scores contain NaN or inf")
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]
-
-    stats = BleuStats.zero()
-    for h, r in zip(hyp_tok, ref_tok):
-        stats = stats + sentence_stats(h, r)
-    bleu, precisions, bp = bleu_from_stats(stats)
-
+    bleu, precisions, bp = bleu_from_stats(corpus_stats(hyp_tok, ref_tok))
     _, _, ter_rate = ter_corpus(hyp_tok, ref_tok)
 
     return MetricReport(
         bleu=bleu,
         precisions=precisions,
         bp=bp,
-        chrf=chrf(hyps, refs, char_order=char_order, beta=beta),
+        chrf=chrf(hyps, refs),
         ter=ter_rate * 100.0,
         rouge_l=rouge_l_corpus(hyp_tok, ref_tok),
         meteor=meteor_corpus(hyp_tok, ref_tok, stem_table, synonym_table),

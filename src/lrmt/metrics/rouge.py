@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from ..errors import ValidationError
 from ._kernels import lcs_length
-from .tokenizer import TokenizedSentence
+from .tokenizer import TokenizedSentence, check_parallel
 
 
 def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
@@ -20,8 +19,5 @@ def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
 
 def rouge_l_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:
     """Unweighted mean of sentence F1 scores."""
-    if len(hyps) != len(refs):
-        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise ValidationError("empty corpus")
-    return sum(rouge_l_sentence(h, r) for h, r in zip(hyps, refs)) / len(hyps)
+    check_parallel(hyps, refs)
+    return sum(map(rouge_l_sentence, hyps, refs)) / len(hyps)

@@ -11,7 +11,7 @@ from ._kernels import (
     levenshtein_resume,
     match_masks,
 )
-from .tokenizer import TokenizedSentence
+from .tokenizer import TokenizedSentence, check_parallel
 
 MAX_SHIFT_SIZE = 10
 MAX_SHIFT_DIST = 50
@@ -92,14 +92,7 @@ def ter_corpus(
     hyps: list[TokenizedSentence], refs: list[TokenizedSentence]
 ) -> tuple[int, int, float]:
     """(total edits, total reference length, rate) summed over the corpus."""
-    if len(hyps) != len(refs):
-        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
-    if not hyps:
-        raise ValidationError("empty corpus")
-    total_edits = 0
-    total_ref = 0
-    for hyp, ref in zip(hyps, refs):
-        edits, _ = ter_sentence(hyp, ref)
-        total_edits += edits
-        total_ref += len(ref)
+    check_parallel(hyps, refs)
+    total_edits = sum(ter_sentence(hyp, ref)[0] for hyp, ref in zip(hyps, refs))
+    total_ref = sum(map(len, refs))
     return total_edits, total_ref, total_edits / total_ref

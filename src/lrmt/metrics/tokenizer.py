@@ -1,4 +1,4 @@
-"""Reference tokenizer shared by all metrics.
+"""Reference tokenizer and corpus check shared by all metrics.
 
 A small, frozen rule set ("13a-lite"): pad punctuation with spaces, keep
 decimal/thousands separators and in-abbreviation periods attached, split on
@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from typing import Sized
+
+from ..errors import ValidationError
 
 _ASCII_PUNCT = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
@@ -21,13 +24,22 @@ class TokenizedSentence:
     def __post_init__(self) -> None:
         for tok in self.tokens:
             if not tok or any(ch.isspace() for ch in tok):
-                raise ValueError(f"bad token {tok!r}: empty or contains whitespace")
+                raise ValidationError(f"bad token {tok!r}: empty or contains whitespace")
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def __iter__(self):
         return iter(self.tokens)
+
+
+def check_parallel(hyps: Sized, refs: Sized) -> None:
+    """Raise ValidationError unless hyps and refs pair up one to one and are
+    not empty; every corpus metric starts here."""
+    if len(hyps) != len(refs):
+        raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
+    if not hyps:
+        raise ValidationError("empty corpus")
 
 
 def _is_ascii_digit(ch: str) -> bool:

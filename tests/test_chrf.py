@@ -3,13 +3,13 @@ import random
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.chrf import char_ngrams, chrf
+from lrmt.metrics.chrf import chrf, chrf_stats
 
 
-def oracle_chrf(hyps, refs, char_order=6, beta=2.0):
-    """Literal transcription of the definition: enumerate char n-grams by
-    slicing lists, count matches with list.count, average F over active
-    orders."""
+def oracle_counts(hyps, refs, char_order=6):
+    """Per-order (matched, hyp total, ref total) over the corpus, by literal
+    transcription of the definition: enumerate char n-grams by slicing lists
+    and count matches with list.count."""
     per_order = []
     for n in range(1, char_order + 1):
         matched = hyp_total = ref_total = 0
@@ -23,8 +23,13 @@ def oracle_chrf(hyps, refs, char_order=6, beta=2.0):
             hyp_total += len(h_grams)
             ref_total += len(r_grams)
         per_order.append((matched, hyp_total, ref_total))
+    return per_order
+
+
+def oracle_chrf(hyps, refs, char_order=6, beta=2.0):
+    """Average F over the orders where either side has n-grams."""
     f_values = []
-    for matched, hyp_total, ref_total in per_order:
+    for matched, hyp_total, ref_total in oracle_counts(hyps, refs, char_order):
         if hyp_total == 0 and ref_total == 0:
             continue
         p = matched / hyp_total if hyp_total else 0.0
@@ -40,14 +45,53 @@ def random_text(rng, alphabet="abcdef ", lo=3, hi=15):
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(lo, hi))).strip() or "a"
 
 
-class TestCharNgrams:
+# ASCII and non-ASCII letters, with tab, newline, no-break space, thin space
+# and ideographic space between them
+MIXED = "abé ßক\t\n\u00a0\u2009\u3000"
+
+
+def mixed_text(rng, hi=10):
+    """0 to hi-1 characters of MIXED: often shorter than the char order, and
+    sometimes nothing but whitespace."""
+    return "".join(rng.choice(MIXED) for _ in range(rng.randrange(hi)))
+
+
+def summed(segments):
+    """Per-order counts of a corpus from its per-segment counts."""
+    return [tuple(map(sum, zip(*order))) for order in zip(*segments)]
+
+
+class TestChrfStats:
     def test_whitespace_removed(self):
-        grams = char_ngrams("a b", 2)
-        assert grams == {"ab": 1}
+        assert chrf_stats("a b", "ab", 2) == ((2, 2, 2), (1, 1, 1))
 
     def test_counts(self):
-        assert char_ngrams("aaa", 1) == {"a": 3}
-        assert char_ngrams("aaa", 2) == {"aa": 2}
+        # matches are clipped to the smaller count of each n-gram
+        assert chrf_stats("aaa", "aa", 3) == ((2, 3, 2), (1, 2, 1), (0, 1, 0))
+
+    def test_segments_shorter_than_order(self):
+        assert chrf_stats("ab", "abc", 6) == (
+            (2, 2, 3), (1, 1, 2), (0, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0)
+        )
+        assert chrf_stats("", " \t\u3000", 2) == ((0, 0, 0), (0, 0, 0))
+
+    def test_non_ascii_whitespace_removed(self):
+        assert chrf_stats("a\u00a0b\u3000c", "a b\tc\n", 3) == ((3, 3, 3), (2, 2, 2), (1, 1, 1))
+
+    def test_non_ascii_letters(self):
+        # one code point each: é (precomposed) is not e, ক is one gram
+        assert chrf_stats("éক", "eক", 2) == ((1, 2, 2), (0, 1, 1))
+
+    @pytest.mark.parametrize("char_order", range(1, 9))
+    def test_corpus_sums_equal_oracle_counts(self, char_order):
+        rng = random.Random(100 + char_order)
+        for _ in range(25):
+            k = rng.randrange(1, 5)
+            hyps = [mixed_text(rng) for _ in range(k)]
+            refs = [mixed_text(rng) for _ in range(k)]
+            segments = [chrf_stats(h, r, char_order) for h, r in zip(hyps, refs)]
+            assert all(len(seg) == char_order for seg in segments)
+            assert summed(segments) == oracle_counts(hyps, refs, char_order)
 
 
 class TestChrf:
@@ -71,6 +115,18 @@ class TestChrf:
             hyps = [random_text(rng) for _ in range(k)]
             refs = [random_text(rng) for _ in range(k)]
             assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs))
+
+    @pytest.mark.parametrize("char_order", range(1, 9))
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_oracle_settings(self, char_order, beta):
+        rng = random.Random(char_order * 10 + int(beta * 2))
+        for _ in range(10):
+            k = rng.randrange(1, 5)
+            hyps = [mixed_text(rng) for _ in range(k)]
+            refs = [mixed_text(rng) for _ in range(k)]
+            assert chrf(hyps, refs, char_order, beta) == pytest.approx(
+                oracle_chrf(hyps, refs, char_order, beta)
+            )
 
     def test_beta_weighting_favors_recall(self):
         # hyp covers ref fully but adds noise: recall 1, precision < 1.

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -129,14 +130,37 @@ class TestCorpus:
         with pytest.raises(ValidationError):
             Corpus.from_pairs([make_pair(0), make_pair(0)])
 
-    def test_composition_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            Corpus(pairs=(make_pair(0),), composition={SMOLDOC: 2})
-
     def test_iteration_preserves_order(self):
         pairs = [make_pair(i) for i in range(5)]
         c = Corpus.from_pairs(pairs)
         assert list(c) == pairs
+
+
+def reference_unescape(text):
+    """Character-by-character unescape: a backslash before t, n or another
+    backslash makes a tab, a newline or one backslash; any other backslash
+    stays as it is."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            if nxt == "t":
+                out.append("\t")
+                i += 2
+                continue
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
 
 
 class TestEscaping:
@@ -159,6 +183,17 @@ class TestEscaping:
 
     def test_unescape_lone_trailing_backslash(self):
         assert unescape_field("abc\\") == "abc\\"
+
+    def test_unescape_matches_reference(self):
+        rng = random.Random(7)
+        texts = [
+            "".join(rng.choice("ab\\tn x") for _ in range(rng.randrange(13)))
+            for _ in range(20_000)
+        ]
+        assert sum(t.endswith("\\") for t in texts) > 1000
+        assert sum("\\" not in t for t in texts) > 1000
+        for text in texts:
+            assert unescape_field(text) == reference_unescape(text), repr(text)
 
 
 class TestIngestTsv:
@@ -303,6 +338,19 @@ class TestIngestJsonl:
         p = self.write_jsonl(tmp_path, [{"source": f"s {i}", "target": f"t {i}"} for i in range(20)] + [{"source": "only"}])
         c = ingest(p, "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
         assert len(c) == 20
+
+    @pytest.mark.parametrize("score", [True, False, "0.5", [0.5], {"value": 0.5}])
+    def test_score_not_a_number_malformed(self, tmp_path, score):
+        rows = [{"source": f"s {i}", "target": f"t {i}"} for i in range(20)]
+        rows.append({"source": "s x", "target": "t x", "score": score})
+        c = ingest(self.write_jsonl(tmp_path, rows), "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
+        assert [p.id for p in c] == [f"synthetic:{i}" for i in range(20)]
+
+    @pytest.mark.parametrize("score", [-1, 0, 1, 0.5])
+    def test_numeric_score_kept(self, tmp_path, score):
+        row = {"source": "hello", "target": "bok", "score": score}
+        c = ingest(self.write_jsonl(tmp_path, [row]), "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
+        assert c.pairs[0].score == score
 
     def test_all_bad_raises(self, tmp_path):
         p = self.write_jsonl(tmp_path, [{"source": "only"}] * 3)

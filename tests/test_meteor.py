@@ -1,6 +1,6 @@
 import pytest
 
-from lrmt.errors import ValidationError
+from lrmt.errors import IngestError, ValidationError
 from lrmt.metrics.meteor import (
     load_stem_table,
     load_synonym_table,
@@ -89,3 +89,15 @@ class TestTables:
         path.write_text("big large\nlonely\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="bad synonym line"):
             load_synonym_table(path)
+
+    @pytest.mark.parametrize("load", [load_stem_table, load_synonym_table])
+    def test_missing_file(self, tmp_path, load):
+        with pytest.raises(IngestError, match="cannot read table"):
+            load(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize("load", [load_stem_table, load_synonym_table])
+    def test_not_utf8(self, tmp_path, load):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("café cafe\n".encode("latin-1"))
+        with pytest.raises(IngestError, match="cannot read table"):
+            load(path)

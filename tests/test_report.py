@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -32,8 +33,6 @@ class TestEvaluateCorpus:
             comet_scores=[0.75, 0.5, 0.25],
             stem_table=STEMS,
             synonym_table=SYNONYMS,
-            char_order=4,
-            beta=1.0,
         )
         hyp_tok = [tokenize_13a(h) for h in HYPS]
         ref_tok = [tokenize_13a(r) for r in REFS]
@@ -45,7 +44,7 @@ class TestEvaluateCorpus:
             bleu=bleu,
             precisions=precisions,
             bp=bp,
-            chrf=chrf(HYPS, REFS, char_order=4, beta=1.0),
+            chrf=chrf(HYPS, REFS),
             ter=ter_corpus(hyp_tok, ref_tok)[2] * 100.0,
             rouge_l=rouge_l_corpus(hyp_tok, ref_tok),
             meteor=meteor_corpus(hyp_tok, ref_tok, STEMS, SYNONYMS),
@@ -53,9 +52,8 @@ class TestEvaluateCorpus:
             cos_sim=1.75 / 3,
             comet=0.5,
         )
-        # the tables and chrF settings change the scores of this corpus
+        # the tables change the METEOR score of this corpus
         assert report.meteor != meteor_corpus(hyp_tok, ref_tok)
-        assert report.chrf != chrf(HYPS, REFS)
 
     def test_defaults_leave_optional_scores_out(self):
         report = evaluate_corpus(HYPS, REFS)
@@ -70,6 +68,12 @@ class TestEvaluateCorpus:
     def test_score_length_mismatch(self, name, length):
         with pytest.raises(ValidationError, match="corpus size 3"):
             evaluate_corpus(HYPS, REFS, **{name: [0.5] * length})
+
+    @pytest.mark.parametrize("name", ["embedding_scores", "comet_scores"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match="NaN or inf"):
+            evaluate_corpus(HYPS[:1], REFS[:1], **{name: [bad]})
 
     def test_corpus_mismatch_and_empty(self):
         with pytest.raises(ValidationError):
@@ -100,6 +104,11 @@ class TestMetricReport:
     def test_markdown_present_columns(self):
         row = self.report(cos_sim=0.8125, comet=0.0).render_markdown().splitlines()[2]
         assert row.endswith("| 0.812 | 0.000 |")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_json_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            self.report(comet=bad).to_json()
 
     def test_json_round_trip(self):
         report = self.report(cos_sim=0.5)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from lrmt.errors import ValidationError
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 GOLDEN = Path(__file__).parent / "data" / "tokenizer_golden.json"
@@ -46,9 +47,9 @@ class TestRules:
 
 class TestTokenizedSentence:
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="bad token"):
             TokenizedSentence(tokens=("ok", ""))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="bad token"):
             TokenizedSentence(tokens=("has space",))
 
     def test_len_and_iter(self):
