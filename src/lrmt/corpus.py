@@ -238,6 +238,15 @@ class _RowError(Exception):
     pass
 
 
+def _optional_text(obj: dict, key: str) -> Optional[str]:
+    """A JSONL row's optional string field: None when absent or null, else it
+    must be a non-empty string (no coercion of numbers, lists or "")."""
+    value = obj.get(key)
+    if value is not None and (not isinstance(value, str) or not value):
+        raise _RowError(f"bad {key!r} value {value!r}: not a non-empty string")
+    return value
+
+
 def _parse_row(
     line: str,
     format: str,
@@ -246,7 +255,7 @@ def _parse_row(
     target_lang: LanguageTag,
     origin: Origin,
 ) -> SentencePair:
-    pair_id = f"{origin.label}:{row_index}"
+    pair_id: Optional[str] = None
     score: Optional[float] = None
     if format == "tsv":
         cols = line.split("\t")
@@ -265,25 +274,25 @@ def _parse_row(
             raise _RowError("missing 'source'/'target' string fields")
         src = normalize_text(obj["source"])
         tgt = normalize_text(obj["target"])
-        if obj.get("origin"):
-            origin = Origin(str(obj["origin"]))
-        if isinstance(obj.get("id"), str) and obj["id"]:
-            pair_id = obj["id"]
-        else:
-            pair_id = f"{origin.label}:{row_index}"
+        label = _optional_text(obj, "origin")
+        if label is not None:
+            origin = Origin(label)
+        pair_id = _optional_text(obj, "id")
         score = obj.get("score")
         # bool is an int subclass, and a numeric string is not a number
         if score is not None and type(score) not in (int, float):
             raise _RowError(f"bad score value {score!r}: not a JSON number")
-        if isinstance(obj.get("source_lang"), str):
-            source_lang = LanguageTag(obj["source_lang"])
-        if isinstance(obj.get("target_lang"), str):
-            target_lang = LanguageTag(obj["target_lang"])
+        tag = _optional_text(obj, "source_lang")
+        if tag is not None:
+            source_lang = LanguageTag(tag)
+        tag = _optional_text(obj, "target_lang")
+        if tag is not None:
+            target_lang = LanguageTag(tag)
     if not src or not tgt:
         raise _RowError("empty source or target after normalization")
     try:
         return SentencePair(
-            id=pair_id,
+            id=pair_id or f"{origin.label}:{row_index}",
             source_text=src,
             target_text=tgt,
             source_lang=source_lang,

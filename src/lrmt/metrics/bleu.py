@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .. import __version__
 from ..errors import ValidationError
-from .tokenizer import TokenizedSentence, check_parallel, tokenize_13a
+from .tokenizer import TokenizedSentence, check_parallel, ngram_stats, tokenize_13a
 
 MAX_ORDER = 4
 
 SIGNATURE = f"BLEU|nrefs:1|case:mixed|tok:13a-lite|ngram:{MAX_ORDER}|version:{__version__}"
-
-
-def ngram_counts(tokens: tuple[str, ...], order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,8 @@ class BleuStats:
 
 
 def sentence_stats(hyp: TokenizedSentence, ref: TokenizedSentence) -> BleuStats:
-    clipped = []
-    totals = []
-    for n in range(1, MAX_ORDER + 1):
-        hyp_counts = ngram_counts(hyp.tokens, n)
-        ref_counts = ngram_counts(ref.tokens, n)
-        clipped.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
-        totals.append(sum(hyp_counts.values()))
-    return BleuStats(
-        clipped=tuple(clipped), totals=tuple(totals), hyp_len=len(hyp), ref_len=len(ref)
-    )
+    clipped, totals, _ = zip(*ngram_stats(hyp.tokens, ref.tokens, MAX_ORDER))
+    return BleuStats(clipped=clipped, totals=totals, hyp_len=len(hyp), ref_len=len(ref))
 
 
 def corpus_stats(

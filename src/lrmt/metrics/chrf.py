@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
-from .tokenizer import check_parallel
+from .tokenizer import check_parallel, ngram_stats
 
 DEFAULT_CHAR_ORDER = 6
 DEFAULT_BETA = 2.0
@@ -12,22 +10,8 @@ DEFAULT_BETA = 2.0
 
 def chrf_stats(hyp: str, ref: str, char_order: int) -> tuple[tuple[int, int, int], ...]:
     """Per-order (matched, hyp total, ref total) char n-gram counts of one
-    segment, for orders 1..char_order.
-
-    Whitespace is removed first. One Counter per side holds the n-grams of
-    every order, keyed by the n-gram itself (its order is its length).
-    """
-    h = "".join(hyp.split())
-    r = "".join(ref.split())
-    orders = range(1, char_order + 1)
-    h_grams = Counter(h[i : i + n] for n in orders for i in range(len(h) - n + 1))
-    r_grams = Counter(r[i : i + n] for n in orders for i in range(len(r) - n + 1))
-    matched = [0] * char_order
-    for g in h_grams.keys() & r_grams.keys():
-        matched[len(g) - 1] += min(h_grams[g], r_grams[g])
-    return tuple(
-        (matched[n - 1], max(len(h) - n + 1, 0), max(len(r) - n + 1, 0)) for n in orders
-    )
+    segment, for orders 1..char_order, with whitespace removed first."""
+    return ngram_stats("".join(hyp.split()), "".join(ref.split()), char_order)
 
 
 def chrf(

@@ -1,4 +1,4 @@
-"""Reference tokenizer and corpus check shared by all metrics.
+"""Reference tokenizer, corpus check and n-gram counter shared by the metrics.
 
 A small, frozen rule set ("13a-lite"): pad punctuation with spaces, keep
 decimal/thousands separators and in-abbreviation periods attached, split on
@@ -9,8 +9,9 @@ every metric, so don't.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sized
+from typing import Sequence, Sized
 
 from ..errors import ValidationError
 
@@ -22,6 +23,7 @@ class TokenizedSentence:
     tokens: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", tuple(self.tokens))
         for tok in self.tokens:
             if not tok or any(ch.isspace() for ch in tok):
                 raise ValidationError(f"bad token {tok!r}: empty or contains whitespace")
@@ -40,6 +42,25 @@ def check_parallel(hyps: Sized, refs: Sized) -> None:
         raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
         raise ValidationError("empty corpus")
+
+
+def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int, int, int], ...]:
+    """Per-order (clipped matches, hyp n-grams, ref n-grams) of one segment,
+    for orders 1..max_order.
+
+    An n-gram is a slice, so a string gives character n-grams and a token
+    tuple word n-grams. One Counter per side holds the n-grams of every
+    order, keyed by the n-gram itself (its order is its length).
+    """
+    orders = range(1, max_order + 1)
+    h_grams = Counter(hyp[i : i + n] for n in orders for i in range(len(hyp) - n + 1))
+    r_grams = Counter(ref[i : i + n] for n in orders for i in range(len(ref) - n + 1))
+    matched = [0] * max_order
+    for g in h_grams.keys() & r_grams.keys():
+        matched[len(g) - 1] += min(h_grams[g], r_grams[g])
+    return tuple(
+        (matched[n - 1], max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)) for n in orders
+    )
 
 
 def _is_ascii_digit(ch: str) -> bool:

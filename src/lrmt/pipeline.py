@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .corpus import Corpus, Origin, SentencePair
-from .errors import ValidationError
+from .errors import IngestError, ValidationError
 
 DEDUP_KEYS = ("source", "target", "both")
 
@@ -169,14 +169,36 @@ class SplitSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "SplitSpec":
-        obj = json.loads(Path(path).read_text("utf-8"))
+        """Read ``{"seed": str, "splits": [{"name": str, "size": int,
+        "origin": str (optional)}, ...]}``.
+
+        Raises IngestError when the file cannot be read as UTF-8 JSON and
+        ValidationError when the spec has the wrong shape or types.
+        """
+        try:
+            obj = json.loads(Path(path).read_text("utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise IngestError(f"{path}: cannot read split spec: {exc}") from exc
         if not isinstance(obj, dict) or "seed" not in obj or "splits" not in obj:
             raise ValidationError(f"{path}: expected object with 'seed' and 'splits'")
+        if not isinstance(obj["seed"], str):
+            raise ValidationError(f"{path}: seed {obj['seed']!r} is not a string")
+        if not isinstance(obj["splits"], list):
+            raise ValidationError(f"{path}: splits {obj['splits']!r} is not a list")
         entries = []
         for e in obj["splits"]:
-            origin = Origin(e["origin"]) if e.get("origin") else None
-            entries.append(SplitEntry(name=e["name"], size=int(e["size"]), origin=origin))
-        return cls(seed=str(obj["seed"]), entries=tuple(entries))
+            if not isinstance(e, dict) or not isinstance(e.get("name"), str):
+                raise ValidationError(f"{path}: split {e!r} has no string 'name'")
+            where = f"{path}: split {e['name']!r}"
+            size, origin = e.get("size"), e.get("origin")
+            # bool is an int subclass; a float or string size is not coerced
+            if type(size) is not int:
+                raise ValidationError(f"{where}: size {size!r} is not an integer")
+            if origin is not None and not isinstance(origin, str):
+                raise ValidationError(f"{where}: origin {origin!r} is not a string")
+            origin = None if origin is None else Origin(origin)
+            entries.append(SplitEntry(name=e["name"], size=size, origin=origin))
+        return cls(seed=obj["seed"], entries=tuple(entries))
 
 
 def split(pool: Corpus, spec: SplitSpec) -> dict[str, Corpus]:

@@ -88,6 +88,8 @@ def retention_curve(scores: Sequence[float], thresholds: Sequence[float]) -> Ret
 
 def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpus]:
     """Split into (kept: score >= threshold, dropped). Threshold -1 keeps all."""
+    if math.isnan(threshold):
+        raise ValidationError("filter_by_threshold got a NaN threshold")
     kept: list[SentencePair] = []
     dropped: list[SentencePair] = []
     for pair in corpus:
@@ -147,6 +149,9 @@ def stratified_sample(
     """
     if per_band < 1:
         raise ValidationError(f"per_band must be >= 1, got {per_band}")
+    for low, high in bands:
+        if not low < high:  # also catches a NaN bound
+            raise ValidationError(f"empty band [{low},{high})")
     spans = sorted(bands)
     for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
         if b_lo < a_hi:
@@ -157,8 +162,6 @@ def stratified_sample(
     out: list[BandSample] = []
     warnings: list[str] = []
     for low, high in bands:
-        if low >= high:
-            raise ValidationError(f"empty band [{low},{high})")
         members = [p for p in corpus if low <= p.score < high]
         members.sort(key=lambda p: (sample_key(seed, p.source_text), p.id))
         chosen = tuple(members[:per_band])

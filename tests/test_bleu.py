@@ -15,7 +15,7 @@ from lrmt.metrics.bleu import (
     compose_bleu,
     sentence_stats,
 )
-from lrmt.metrics.tokenizer import tokenize_13a
+from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 STAT_LINES = Path(__file__).parent / "data" / "bleu_stat_lines.json"
 
@@ -32,8 +32,8 @@ def oracle_ngram_stats(hyp_tokens, ref_tokens, order):
     return clipped, len(hyp_grams)
 
 
-def random_sentence(rng, lo=4, hi=12):
-    return " ".join(rng.choice(WORDS) for _ in range(rng.randrange(lo, hi)))
+def random_sentence(rng, lo=4, hi=12, vocab=WORDS):
+    return " ".join(rng.choice(vocab) for _ in range(rng.randrange(lo, hi)))
 
 
 class TestSentenceStats:
@@ -46,14 +46,27 @@ class TestSentenceStats:
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(42)
-        for _ in range(100):
-            hyp = tokenize_13a(random_sentence(rng))
-            ref = tokenize_13a(random_sentence(rng))
+        pairs = [(random_sentence(rng), random_sentence(rng)) for _ in range(100)]
+        # lengths below MAX_ORDER, and empty, over tiny vocabularies (many repeats)
+        for _ in range(300):
+            vocab = WORDS[: rng.randint(1, 3)]
+            pairs.append(tuple(random_sentence(rng, 0, 12, vocab) for _ in range(2)))
+        for h, r in pairs:
+            hyp = tokenize_13a(h)
+            ref = tokenize_13a(r)
             stats = sentence_stats(hyp, ref)
             for n in range(1, 5):
                 clipped, total = oracle_ngram_stats(hyp.tokens, ref.tokens, n)
                 assert stats.clipped[n - 1] == clipped
                 assert stats.totals[n - 1] == total
+
+    def test_list_built_sentence_counts_like_tuple_built(self):
+        rng = random.Random(46)
+        for _ in range(50):
+            hyp = tokenize_13a(random_sentence(rng, 0, 12, WORDS[:3])).tokens
+            ref = tokenize_13a(random_sentence(rng, 0, 12, WORDS[:3])).tokens
+            from_lists = sentence_stats(TokenizedSentence(list(hyp)), TokenizedSentence(list(ref)))
+            assert from_lists == sentence_stats(TokenizedSentence(hyp), TokenizedSentence(ref))
 
     def test_invariant_enforced(self):
         with pytest.raises(ValidationError):

@@ -352,6 +352,32 @@ class TestIngestJsonl:
         c = ingest(self.write_jsonl(tmp_path, [row]), "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
         assert c.pairs[0].score == score
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("origin", 5),
+            ("origin", ["x"]),
+            ("origin", 0),
+            ("origin", ""),
+            ("id", 7),
+            ("id", ""),
+            ("source_lang", 5),
+            ("target_lang", False),
+        ],
+    )
+    def test_mistyped_field_malformed(self, tmp_path, field, value):
+        rows = [{"source": f"s {i}", "target": f"t {i}"} for i in range(20)]
+        rows.append({"source": "s x", "target": "t x", field: value})
+        c = ingest(self.write_jsonl(tmp_path, rows), "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
+        assert [p.id for p in c] == [f"synthetic:{i}" for i in range(20)]
+
+    def test_null_fields_take_defaults(self, tmp_path):
+        fields = ("origin", "id", "source_lang", "target_lang")
+        row = {"source": "hello", "target": "bok", **dict.fromkeys(fields)}
+        pair = ingest(self.write_jsonl(tmp_path, [row]), "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC).pairs[0]
+        assert (pair.origin, pair.id) == (SYNTHETIC, "synthetic:0")
+        assert (pair.source_lang, pair.target_lang) == (ENG_LATN, TRP_LATN)
+
     def test_all_bad_raises(self, tmp_path):
         p = self.write_jsonl(tmp_path, [{"source": "only"}] * 3)
         with pytest.raises(IngestError):

@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -149,3 +150,24 @@ class TestBackends:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_every_module_imports_only_stdlib(self):
+        # pyproject.toml declares `dependencies = []`
+        src = str(Path(lrmt.metrics.__file__).resolve().parents[2])
+        code = (
+            "import importlib, json, pkgutil, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "before = set(sys.modules)\n"
+            "import lrmt\n"
+            "names = [m.name for m in pkgutil.walk_packages(lrmt.__path__, 'lrmt.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(json.dumps([names, sorted(loaded)]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        names, loaded = json.loads(out.stdout)
+        assert {"lrmt.corpus", "lrmt.quality", "lrmt.metrics.ter"} <= set(names)
+        assert [m for m in loaded if m != "lrmt" and m not in sys.stdlib_module_names] == []

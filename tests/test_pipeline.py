@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from lrmt.corpus import ENG_LATN, SMOLDOC, SMOLSENT, TRP_LATN, Corpus, Origin, SentencePair
-from lrmt.errors import ValidationError
+from lrmt.errors import IngestError, ValidationError
 from lrmt.pipeline import (
     OverlapReport,
     SplitEntry,
@@ -300,6 +301,51 @@ class TestSplit:
         assert spec.seed == "k"
         assert spec.entries[0] == SplitEntry("test", 2, SMOLDOC)
         assert spec.entries[1] == SplitEntry("dev", 1, None)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b'{"seed": "k", "splits": []', b"\xff\xfe{}"],
+        ids=["not-json", "truncated", "not-utf8"],
+    )
+    def test_from_json_file_unreadable(self, tmp_path, content):
+        p = tmp_path / "spec.json"
+        p.write_bytes(content)
+        with pytest.raises(IngestError, match="cannot read split spec"):
+            SplitSpec.from_json_file(p)
+
+    def test_from_json_file_missing_or_directory(self, tmp_path):
+        for p in (tmp_path / "absent.json", tmp_path):
+            with pytest.raises(IngestError, match="cannot read split spec"):
+                SplitSpec.from_json_file(p)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"seed": "k", "splits": [{"size": 1}]},
+            {"seed": "k", "splits": [{"name": 5, "size": 1}]},
+            {"seed": "k", "splits": [{"name": "dev", "size": "x"}]},
+            {"seed": "k", "splits": [{"name": "dev", "size": 2.7}]},
+            {"seed": "k", "splits": [{"name": "dev", "size": True}]},
+            {"seed": "k", "splits": [{"name": "dev"}]},
+            {"seed": "k", "splits": 5},
+            {"seed": "k", "splits": [5]},
+            {"seed": 1, "splits": []},
+            {"seed": "k", "splits": [{"name": "dev", "size": 1, "origin": 5}]},
+            {"seed": "k", "splits": [{"name": "dev", "size": 1, "origin": ""}]},
+            {"seed": "k"},
+            [],
+        ],
+        ids=[
+            "no-name", "name-int", "size-str", "size-float", "size-bool", "no-size",
+            "splits-int", "entry-int", "seed-int", "origin-int", "origin-empty",
+            "no-splits", "not-object",
+        ],
+    )
+    def test_from_json_file_bad_spec(self, tmp_path, spec):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec), encoding="utf-8")
+        with pytest.raises(ValidationError):
+            SplitSpec.from_json_file(p)
 
 
 class TestVerifyOverlap:

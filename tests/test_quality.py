@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -10,15 +11,18 @@ import pytest
 
 from lrmt.corpus import ENG_LATN, SMOLSENT, TRP_LATN, Corpus, SentencePair
 from lrmt.errors import ProviderError, ValidationError
+from lrmt.pipeline import sample_key
 from lrmt.quality import (
     EmbeddingClient,
     ScorePopulation,
     ScoringError,
     cosine,
+    filter_by_threshold,
     histogram_csv,
     population_stats,
     retention_curve,
     score_pairs,
+    stratified_sample,
 )
 
 
@@ -166,6 +170,121 @@ class TestRetentionCurve:
     def test_rejects(self, scores, thresholds):
         with pytest.raises(ValidationError):
             retention_curve(scores, thresholds)
+
+
+def _scored_pool(rng, n):
+    # scores on the 1/8 grid land on band edges; repeated source texts give
+    # equal sample keys, so the id breaks the tie
+    return Corpus.from_pairs(
+        [
+            SentencePair(
+                id=f"p{i:03d}",
+                source_text=f"src {rng.randrange(max(n // 2, 1))}",
+                target_text=f"tgt {i}",
+                source_lang=ENG_LATN,
+                target_lang=TRP_LATN,
+                origin=SMOLSENT,
+                score=rng.randrange(-8, 9) / 8,
+            )
+            for i in range(n)
+        ],
+        name="pool",
+    )
+
+
+def _unscored(pool):
+    return pool.with_pairs([*pool.pairs, replace(pool.pairs[0], id="unscored", score=None)])
+
+
+class TestFilterByThreshold:
+    def test_every_pair_on_exactly_one_side(self):
+        rng = random.Random(13)
+        for n in (1, 5, 60):
+            pool = _scored_pool(rng, n)
+            for t in (-1.0, -0.5, 0.0, 0.125, 1.0, 1.5):
+                kept, dropped = filter_by_threshold(pool, t)
+                assert kept.pairs == tuple(p for p in pool if p.score >= t)
+                assert dropped.pairs == tuple(p for p in pool if not p.score >= t)
+                assert (kept.name, dropped.name) == ("pool-kept", "pool-dropped")
+
+    def test_rejects(self):
+        pool = _scored_pool(random.Random(13), 4)
+        with pytest.raises(ValidationError, match="no score"):
+            filter_by_threshold(_unscored(pool), 0.0)
+        with pytest.raises(ValidationError, match="NaN"):
+            filter_by_threshold(pool, math.nan)
+
+
+class TestStratifiedSample:
+    BANDS = ((0.25, 1.0), (-1.0, -0.5), (-0.5, 0.0))
+
+    def test_matches_brute_force(self):
+        rng = random.Random(14)
+        for n in (1, 7, 80):
+            pool = _scored_pool(rng, n)
+            for per_band in (1, 3, 100):
+                sample = stratified_sample(pool, self.BANDS, per_band, seed="s")
+                assert [(b.low, b.high, b.requested) for b in sample.bands] == [
+                    (low, high, per_band) for low, high in self.BANDS
+                ]
+                for band in sample.bands:
+                    members = {p.id: p for p in pool if band.low <= p.score < band.high}
+                    chosen = [p.id for p in band.pairs]
+                    assert len(chosen) == min(per_band, len(members))
+                    assert set(chosen) <= set(members)
+                    rank = {i: (sample_key("s", p.source_text), i) for i, p in members.items()}
+                    assert chosen == sorted(chosen, key=rank.get)
+                    rest = [rank[i] for i in members if i not in chosen]
+                    if chosen and rest:
+                        assert rank[chosen[-1]] < min(rest)
+
+    def test_short_band_warnings(self):
+        base = _scored_pool(random.Random(15), 1).pairs[0]
+        scores = (-0.75, -0.6, 0.5, 0.5, 0.9)
+        pool = Corpus.from_pairs([replace(base, id=f"q{i}", score=s) for i, s in enumerate(scores)])
+        sample = stratified_sample(pool, self.BANDS, 3, seed="s")
+        assert sample.warnings == (
+            "band [-1,-0.5) has 2 of 3 requested pairs",
+            "band [-0.5,0) has 0 of 3 requested pairs",
+        )
+        assert stratified_sample(pool, self.BANDS[:1], 3, seed="s").warnings == ()
+
+    def test_independent_of_pool_order(self):
+        rng = random.Random(16)
+        pool = _scored_pool(rng, 60)
+        expected = stratified_sample(pool, self.BANDS, 4, seed="s")
+        for _ in range(5):
+            shuffled = list(pool.pairs)
+            rng.shuffle(shuffled)
+            assert stratified_sample(pool.with_pairs(shuffled), self.BANDS, 4, seed="s") == expected
+
+    @pytest.mark.parametrize(
+        "bands, per_band",
+        [
+            (((0.0, 0.5), (0.25, 1.0)), 2),
+            (((0.5, 1.0), (-1.0, 0.75)), 2),
+            (((0.5, 0.5),), 2),
+            (((0.5, 0.0),), 2),
+            (((0.0, math.nan),), 2),
+            (((math.nan, 0.5),), 2),
+            (((-1.0, 0.0), (0.0, math.nan)), 2),
+            (BANDS, 0),
+            (BANDS, -1),
+        ],
+        ids=[
+            "overlap", "overlap-unsorted", "empty", "reversed", "nan-high", "nan-low",
+            "nan-second", "per-band-0", "per-band-negative",
+        ],
+    )
+    def test_rejects(self, bands, per_band):
+        pool = _scored_pool(random.Random(17), 10)
+        with pytest.raises(ValidationError):
+            stratified_sample(pool, bands, per_band, seed="s")
+
+    def test_rejects_unscored_pair(self):
+        pool = _scored_pool(random.Random(17), 10)
+        with pytest.raises(ValidationError, match="no score"):
+            stratified_sample(_unscored(pool), self.BANDS, 2, seed="s")
 
 
 # --- the HTTP boundary, against a scripted stdlib server on 127.0.0.1 ---

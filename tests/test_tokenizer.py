@@ -52,6 +52,11 @@ class TestTokenizedSentence:
         with pytest.raises(ValidationError, match="bad token"):
             TokenizedSentence(tokens=("has space",))
 
+    def test_list_stored_as_tuple(self):
+        ts = TokenizedSentence(tokens=["a", "b"])
+        assert ts.tokens == ("a", "b")
+        assert hash(ts) == hash(TokenizedSentence(tokens=("a", "b")))
+
     def test_len_and_iter(self):
         ts = tokenize_13a("one two three")
         assert len(ts) == 3
