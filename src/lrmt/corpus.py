@@ -170,24 +170,21 @@ def unescape_field(text: str) -> str:
     return _UNESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
-def _decode_utf8(path: Path) -> str:
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-
-
 def ingest(
     path: str | Path,
-    format: str,
-    source_lang: LanguageTag,
-    target_lang: LanguageTag,
-    origin: Origin,
+    format: str | None = None,
+    source_lang: LanguageTag = ENG_LATN,
+    target_lang: LanguageTag = TRP_LATN,
+    origin: Origin = Origin("other"),
     header: bool = False,
     name: str | None = None,
 ) -> Corpus:
     """Read a TSV or JSONL file into a Corpus.
+
+    With ``format=None`` the suffix chooses the format: ``.tsv`` or
+    ``.jsonl``, case-insensitive; any other suffix raises ``IngestError``.
+    A missing or unreadable path (a directory, no permission) and bytes
+    that are not UTF-8 raise ``IngestError`` too.
 
     Every row is normalized via :func:`normalize_text`. Malformed rows are
     logged and skipped; more than 10% malformed rows is treated as a wrong
@@ -195,12 +192,21 @@ def ingest(
     unless a JSONL row supplies its own ``id``.
     """
     path = Path(path)
-    if format not in ("tsv", "jsonl"):
+    if format is None:
+        format = {".tsv": "tsv", ".jsonl": "jsonl"}.get(path.suffix.lower())
+        if format is None:
+            raise IngestError(f"cannot infer format from {str(path)!r}; pass the format argument")
+    elif format not in ("tsv", "jsonl"):
         raise IngestError(f"unknown format {format!r}: expected 'tsv' or 'jsonl'")
-    if not path.exists():
-        raise IngestError(f"{path}: no such file")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except FileNotFoundError as exc:
+        raise IngestError(f"{path}: no such file") from exc
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
 
-    text = _decode_utf8(path)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -208,7 +214,7 @@ def ingest(
         lines = lines[1:]
 
     pairs: list[SentencePair] = []
-    malformed: list[tuple[int, str]] = []
+    malformed = 0
     seen_rows = 0
 
     for row_index, line in enumerate(lines):
@@ -218,24 +224,20 @@ def ingest(
         seen_rows += 1
         try:
             pair = _parse_row(line, format, row_index, source_lang, target_lang, origin)
-        except (_RowError, ValidationError) as exc:
-            malformed.append((row_index, str(exc)))
+        except ValidationError as exc:
+            malformed += 1
             logger.warning("%s row %d malformed: %s", path, row_index, exc)
             continue
         pairs.append(pair)
 
-    if seen_rows and len(malformed) * 10 > seen_rows:
+    if seen_rows and malformed * 10 > seen_rows:
         raise IngestError(
-            f"{path}: {len(malformed)}/{seen_rows} rows malformed (>10%), "
+            f"{path}: {malformed}/{seen_rows} rows malformed (>10%), "
             "likely the wrong format"
         )
     if malformed:
-        logger.warning("%s: skipped %d malformed rows", path, len(malformed))
+        logger.warning("%s: skipped %d malformed rows", path, malformed)
     return Corpus.from_pairs(pairs, name=name or path.stem)
-
-
-class _RowError(Exception):
-    pass
 
 
 def _optional_text(obj: dict, key: str) -> Optional[str]:
@@ -243,7 +245,7 @@ def _optional_text(obj: dict, key: str) -> Optional[str]:
     must be a non-empty string (no coercion of numbers, lists or "")."""
     value = obj.get(key)
     if value is not None and (not isinstance(value, str) or not value):
-        raise _RowError(f"bad {key!r} value {value!r}: not a non-empty string")
+        raise ValidationError(f"bad {key!r} value {value!r}: not a non-empty string")
     return value
 
 
@@ -259,19 +261,19 @@ def _parse_row(
     score: Optional[float] = None
     if format == "tsv":
         cols = line.split("\t")
-        if len(cols) < 2:
-            raise _RowError(f"expected >=2 tab-separated columns, got {len(cols)}")
+        if len(cols) != 2:
+            raise ValidationError(f"expected 2 tab-separated columns, got {len(cols)}")
         src = normalize_text(unescape_field(cols[0]))
         tgt = normalize_text(unescape_field(cols[1]))
     else:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise _RowError(f"invalid JSON: {exc}") from exc
+            raise ValidationError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise _RowError("row is not a JSON object")
+            raise ValidationError("row is not a JSON object")
         if not isinstance(obj.get("source"), str) or not isinstance(obj.get("target"), str):
-            raise _RowError("missing 'source'/'target' string fields")
+            raise ValidationError("missing 'source'/'target' string fields")
         src = normalize_text(obj["source"])
         tgt = normalize_text(obj["target"])
         label = _optional_text(obj, "origin")
@@ -281,7 +283,7 @@ def _parse_row(
         score = obj.get("score")
         # bool is an int subclass, and a numeric string is not a number
         if score is not None and type(score) not in (int, float):
-            raise _RowError(f"bad score value {score!r}: not a JSON number")
+            raise ValidationError(f"bad score value {score!r}: not a JSON number")
         tag = _optional_text(obj, "source_lang")
         if tag is not None:
             source_lang = LanguageTag(tag)
@@ -289,19 +291,16 @@ def _parse_row(
         if tag is not None:
             target_lang = LanguageTag(tag)
     if not src or not tgt:
-        raise _RowError("empty source or target after normalization")
-    try:
-        return SentencePair(
-            id=pair_id or f"{origin.label}:{row_index}",
-            source_text=src,
-            target_text=tgt,
-            source_lang=source_lang,
-            target_lang=target_lang,
-            origin=origin,
-            score=score,
-        )
-    except ValidationError as exc:
-        raise _RowError(str(exc)) from exc
+        raise ValidationError("empty source or target after normalization")
+    return SentencePair(
+        id=pair_id or f"{origin.label}:{row_index}",
+        source_text=src,
+        target_text=tgt,
+        source_lang=source_lang,
+        target_lang=target_lang,
+        origin=origin,
+        score=score,
+    )
 
 
 def write(corpus: Corpus, path: str | Path, format: str) -> None:
@@ -330,32 +329,3 @@ def write(corpus: Corpus, path: str | Path, format: str) -> None:
                     obj["score"] = pair.score
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
-
-def infer_format(path: str | Path) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".tsv":
-        return "tsv"
-    if suffix == ".jsonl":
-        return "jsonl"
-    raise IngestError(f"cannot infer format from {path!r}; pass the format argument")
-
-
-def load_corpus(
-    path: str | Path,
-    format: str | None = None,
-    source_lang: LanguageTag = ENG_LATN,
-    target_lang: LanguageTag = TRP_LATN,
-    origin: Origin = Origin("other"),
-    header: bool = False,
-    name: str | None = None,
-) -> Corpus:
-    """Convenience wrapper: ingest with the format inferred from the suffix."""
-    return ingest(
-        path,
-        format or infer_format(path),
-        source_lang=source_lang,
-        target_lang=target_lang,
-        origin=origin,
-        header=header,
-        name=name,
-    )

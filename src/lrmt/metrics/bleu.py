@@ -93,8 +93,6 @@ def bleu_from_stats(stats: BleuStats) -> tuple[float, tuple[float, ...], float]:
     """(score, percent precisions, brevity penalty) from summed statistics."""
     bp = brevity_penalty(stats.hyp_len, stats.ref_len)
     precisions = precisions_from_stats(stats)
-    if stats.hyp_len == 0:
-        return 0.0, precisions, bp
     return compose_bleu(precisions, bp), precisions, bp
 
 

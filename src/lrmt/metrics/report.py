@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from ..errors import ValidationError
@@ -33,22 +33,8 @@ class MetricReport:
     cos_sim: Optional[float] = None
     comet: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "precisions": list(self.precisions),
-            "bp": self.bp,
-            "chrf": self.chrf,
-            "ter": self.ter,
-            "rouge_l": self.rouge_l,
-            "meteor": self.meteor,
-            "signature": self.signature,
-            "cos_sim": self.cos_sim,
-            "comet": self.comet,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
     def render_markdown(self) -> str:
         """One-row table in the standard column order; absent columns show an

@@ -115,6 +115,10 @@ class TestBrevityPenalty:
     def test_empty_hyp(self):
         assert brevity_penalty(0, 10) == 0.0
 
+    def test_empty_hyp_scores_zero(self):
+        stats = BleuStats((0,) * 4, (0,) * 4, 0, 7)
+        assert bleu_from_stats(stats) == (0.0, (100.0,) * 4, 0.0)
+
 
 class TestBleuCorpus:
     def test_identity_is_100(self):

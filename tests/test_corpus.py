@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -13,9 +14,7 @@ from lrmt.corpus import (
     Origin,
     SentencePair,
     escape_field,
-    infer_format,
     ingest,
-    load_corpus,
     normalize_text,
     unescape_field,
     write,
@@ -236,6 +235,22 @@ class TestIngestTsv:
         c = ingest(p, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
         assert c.pairs[0].source_text == "a \\ b"
 
+    @pytest.mark.parametrize("row", ["a b\tc d\textra col", "a\tb\tc\td"])
+    def test_extra_columns_malformed(self, tmp_path, caplog, row):
+        lines = ["ok %d\tbok %d" % (i, i) for i in range(9)] + [row]
+        p = self.write_tsv(tmp_path, lines)
+        with caplog.at_level("WARNING", logger="lrmt.corpus"):
+            c = ingest(p, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
+        assert len(c) == 9
+        assert "smoldoc:9" not in c.ids()
+        assert any("expected 2 tab-separated columns" in r.message for r in caplog.records)
+
+    def test_escaped_tab_stays_in_its_column(self, tmp_path):
+        p = self.write_tsv(tmp_path, ["a\\tb\tc d"])
+        c = ingest(p, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
+        # the unescaped tab is whitespace, which normalization collapses
+        assert (c.pairs[0].source_text, c.pairs[0].target_text) == ("a b", "c d")
+
     def test_malformed_rows_logged_and_skipped(self, tmp_path, caplog):
         lines = ["ok %d\tbok %d" % (i, i) for i in range(20)] + ["no tab"]
         p = self.write_tsv(tmp_path, lines)
@@ -422,16 +437,40 @@ class TestWrite:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestLoadCorpus:
-    def test_infer_format(self):
-        assert infer_format("x.tsv") == "tsv"
-        assert infer_format("x.jsonl") == "jsonl"
-        with pytest.raises(IngestError):
-            infer_format("x.txt")
+class TestIngestBoundary:
+    def test_format_from_suffix(self, tmp_path):
+        for name in ("a.tsv", "b.TSV"):
+            p = tmp_path / name
+            p.write_text("hello\tbok\n", encoding="utf-8")
+            assert ingest(p).pairs[0].target_text == "bok"
+        p = tmp_path / "c.txt"
+        p.write_text("hello\tbok\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="cannot infer format"):
+            ingest(p)
 
-    def test_load(self, tmp_path):
+    def test_inferred_jsonl_takes_defaults(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text(json.dumps({"source": "hello", "target": "bok"}) + "\n", encoding="utf-8")
-        c = load_corpus(p)
+        c = ingest(p)
         assert len(c) == 1
         assert c.name == "c"
+        pair = c.pairs[0]
+        assert (pair.id, pair.source_lang, pair.target_lang) == ("other:0", ENG_LATN, TRP_LATN)
+
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(IngestError, match="no such file"):
+            ingest(tmp_path / "nope.jsonl")
+
+    def test_directory(self, tmp_path):
+        d = tmp_path / "dir.tsv"
+        d.mkdir()
+        with pytest.raises(IngestError, match="cannot read"):
+            ingest(d)
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a mode-0 file")
+    def test_permission_denied(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("hello\tbok\n", encoding="utf-8")
+        p.chmod(0)
+        with pytest.raises(IngestError, match="cannot read"):
+            ingest(p)
