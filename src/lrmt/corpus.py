@@ -12,9 +12,9 @@ import logging
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import IngestError, ValidationError
 
@@ -45,17 +45,11 @@ ENG_LATN = LanguageTag("eng_Latn")
 TRP_LATN = LanguageTag("trp_Latn")
 
 
-_KNOWN_ORIGIN_LABELS = ("smoldoc", "gatitos", "smolsent", "wmtbible", "synthetic")
-
-
 @dataclass(frozen=True)
 class Origin:
-    """Provenance label for a sentence pair.
-
-    The well-known labels are exposed as module constants (SMOLDOC, GATITOS,
-    SMOLSENT, WMTBIBLE, SYNTHETIC); any other non-empty label is treated as a
-    custom source.
-    """
+    """Provenance label for a sentence pair: any non-empty label without
+    whitespace, case-folded. The paper's sources are module constants
+    (SMOLDOC, GATITOS, SMOLSENT, WMTBIBLE, SYNTHETIC)."""
 
     label: str
 
@@ -63,10 +57,6 @@ class Origin:
         if not self.label or _WS_RE.search(self.label):
             raise ValidationError(f"bad origin label {self.label!r}: must be non-empty, no whitespace")
         object.__setattr__(self, "label", self.label.lower())
-
-    @property
-    def is_known(self) -> bool:
-        return self.label in _KNOWN_ORIGIN_LABELS
 
     def __str__(self) -> str:
         return self.label
@@ -112,9 +102,6 @@ class SentencePair:
         if self.score is not None and not -1.0 <= self.score <= 1.0:
             raise ValidationError(f"pair {self.id}: score {self.score} outside [-1, 1]")
 
-    def with_score(self, score: float) -> "SentencePair":
-        return replace(self, score=score)
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -136,10 +123,6 @@ class Corpus:
         """Pair count per origin, counted from the pairs on each call."""
         return Counter(pair.origin for pair in self.pairs)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[SentencePair], name: str = "corpus") -> "Corpus":
-        return cls(pairs=tuple(pairs), name=name)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -148,9 +131,6 @@ class Corpus:
 
     def ids(self) -> set[str]:
         return {p.id for p in self.pairs}
-
-    def with_pairs(self, pairs: Iterable[SentencePair], name: str | None = None) -> "Corpus":
-        return Corpus.from_pairs(pairs, name=self.name if name is None else name)
 
 
 # TSV field escaping. Backslash must be escaped first so that text containing
@@ -237,7 +217,7 @@ def ingest(
         )
     if malformed:
         logger.warning("%s: skipped %d malformed rows", path, malformed)
-    return Corpus.from_pairs(pairs, name=name or path.stem)
+    return Corpus(pairs, name or path.stem)
 
 
 def _optional_text(obj: dict, key: str) -> Optional[str]:
@@ -290,8 +270,6 @@ def _parse_row(
         tag = _optional_text(obj, "target_lang")
         if tag is not None:
             target_lang = LanguageTag(tag)
-    if not src or not tgt:
-        raise ValidationError("empty source or target after normalization")
     return SentencePair(
         id=pair_id or f"{origin.label}:{row_index}",
         source_text=src,
@@ -307,25 +285,30 @@ def write(corpus: Corpus, path: str | Path, format: str) -> None:
     """Serialize a corpus to TSV or JSONL.
 
     JSONL carries per-pair id, language tags, origin and score, so it is the
-    lossless interchange format; TSV keeps only the two text columns.
+    lossless interchange format; TSV keeps only the two text columns. A path
+    that cannot be opened or written (a missing directory, a directory)
+    raises ``IngestError``.
     """
     path = Path(path)
     if format not in ("tsv", "jsonl"):
         raise IngestError(f"unknown format {format!r}: expected 'tsv' or 'jsonl'")
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for pair in corpus.pairs:
-            if format == "tsv":
-                fh.write(f"{escape_field(pair.source_text)}\t{escape_field(pair.target_text)}\n")
-            else:
-                obj: dict[str, object] = {
-                    "id": pair.id,
-                    "source": pair.source_text,
-                    "target": pair.target_text,
-                    "source_lang": pair.source_lang.code,
-                    "target_lang": pair.target_lang.code,
-                    "origin": pair.origin.label,
-                }
-                if pair.score is not None:
-                    obj["score"] = pair.score
-                fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    try:
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            for pair in corpus.pairs:
+                if format == "tsv":
+                    fh.write(f"{escape_field(pair.source_text)}\t{escape_field(pair.target_text)}\n")
+                else:
+                    obj: dict[str, object] = {
+                        "id": pair.id,
+                        "source": pair.source_text,
+                        "target": pair.target_text,
+                        "source_lang": pair.source_lang.code,
+                        "target_lang": pair.target_lang.code,
+                        "origin": pair.origin.label,
+                    }
+                    if pair.score is not None:
+                        obj["score"] = pair.score
+                    fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot write: {exc.strerror}") from exc
 

@@ -6,7 +6,7 @@ class LrmtError(Exception):
 
 
 class IngestError(LrmtError):
-    """A file could not be ingested (unreadable, wrong format, too many bad rows)."""
+    """A file could not be read or written (unopenable, wrong format, too many bad rows)."""
 
 
 class ValidationError(LrmtError):

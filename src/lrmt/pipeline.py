@@ -34,6 +34,12 @@ def sample_key(seed: str, source_text: str) -> bytes:
     return h.digest()
 
 
+def hash_sorted(pairs: Iterable[SentencePair], seed: str) -> list[SentencePair]:
+    """The seeded selection order: ascending sample_key(seed, source_text),
+    ties broken by id. Independent of the input order."""
+    return sorted(pairs, key=lambda p: (sample_key(seed, p.source_text), p.id))
+
+
 def dedup(corpus: Corpus, key: str = "both") -> tuple[Corpus, int]:
     """Drop exact duplicates, keeping the first occurrence.
 
@@ -56,7 +62,7 @@ def dedup(corpus: Corpus, key: str = "both") -> tuple[Corpus, int]:
             continue
         seen.add(k)
         kept.append(pair)
-    return corpus.with_pairs(kept), len(corpus) - len(kept)
+    return replace(corpus, pairs=kept), len(corpus) - len(kept)
 
 
 def word_count(text: str) -> int:
@@ -75,7 +81,7 @@ def filter_length(corpus: Corpus, min_words: int, max_words: int, side: str = "s
         n = word_count(pair.source_text if side == "source" else pair.target_text)
         if min_words <= n <= max_words:
             kept.append(pair)
-    return corpus.with_pairs(kept)
+    return replace(corpus, pairs=kept)
 
 
 def load_stopwords() -> frozenset[str]:
@@ -131,7 +137,7 @@ def swap_rows(corpus: Corpus, ids: Iterable[str]) -> Corpus:
         if pair.id in wanted:
             pair = replace(pair, source_text=pair.target_text, target_text=pair.source_text)
         out.append(pair)
-    return corpus.with_pairs(out)
+    return replace(corpus, pairs=out)
 
 
 @dataclass(frozen=True)
@@ -151,10 +157,10 @@ class SplitEntry:
 class SplitSpec:
     """Ordered split declarations plus the sampling seed.
 
-    Membership is decided per entry, in declaration order, by sorting the
-    still-unassigned candidates on sample_key(seed, source_text) ascending
-    (ties broken by id) and taking the first `size`. Whatever remains becomes
-    the "train" split.
+    Membership is decided per entry, in declaration order, by putting the
+    still-unassigned candidates in hash_sorted order (sample_key(seed,
+    source_text) ascending, ties broken by id) and taking the first `size`.
+    Whatever remains becomes the "train" split.
     """
 
     seed: str
@@ -222,13 +228,11 @@ def split(pool: Corpus, spec: SplitSpec) -> dict[str, Corpus]:
                 f"{len(candidates)} candidates remain"
                 + (f" with origin {entry.origin}" if entry.origin else "")
             )
-        candidates.sort(key=lambda p: (sample_key(spec.seed, p.source_text), p.id))
-        chosen = candidates[: entry.size]
+        chosen = hash_sorted(candidates, spec.seed)[: entry.size]
         for p in chosen:
             del remaining[p.id]
-        result[entry.name] = Corpus.from_pairs(chosen, name=entry.name)
-    train = [p for p in pool if p.id in remaining]
-    result["train"] = Corpus.from_pairs(train, name="train")
+        result[entry.name] = Corpus(chosen, entry.name)
+    result["train"] = Corpus([p for p in pool if p.id in remaining], "train")
     return result
 
 
@@ -313,7 +317,7 @@ def flip_concat(corpus: Corpus) -> Corpus:
         )
         for p in corpus
     ]
-    return corpus.with_pairs(list(corpus.pairs) + flipped)
+    return replace(corpus, pairs=[*corpus.pairs, *flipped])
 
 
 def concat(corpora: Sequence[Corpus], name: str = "concat") -> Corpus:
@@ -321,4 +325,4 @@ def concat(corpora: Sequence[Corpus], name: str = "concat") -> Corpus:
     pairs: list[SentencePair] = []
     for c in corpora:
         pairs.extend(c.pairs)
-    return Corpus.from_pairs(pairs, name=name)
+    return Corpus(pairs, name)

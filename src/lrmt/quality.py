@@ -17,13 +17,13 @@ import time
 import urllib.error
 import urllib.request
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .corpus import Corpus, SentencePair
 from .errors import ProviderError, ValidationError
-from .pipeline import sample_key
+from .pipeline import hash_sorted
 
 MAX_EMBED_BATCH = 512  # server-side request cap
 
@@ -39,8 +39,9 @@ class ScorePopulation:
     std: float = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scores", tuple(self.scores))
         if not self.scores:
-            raise ValidationError("population_stats needs at least one score")
+            raise ValidationError("a score population needs at least one score")
         for s in self.scores:
             if not -1.0 <= s <= 1.0:
                 raise ValidationError(f"score {s} outside [-1, 1]")
@@ -50,11 +51,6 @@ class ScorePopulation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", math.sqrt(var))
-
-
-def population_stats(scores: Sequence[float]) -> ScorePopulation:
-    """Mean and population standard deviation via two-pass compensated sums."""
-    return ScorePopulation(tuple(scores))
 
 
 @dataclass(frozen=True)
@@ -96,17 +92,13 @@ def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpu
         if pair.score is None:
             raise ValidationError(f"pair {pair.id} has no score; run scoring first")
         (kept if pair.score >= threshold else dropped).append(pair)
-    return (
-        corpus.with_pairs(kept, name=f"{corpus.name}-kept"),
-        corpus.with_pairs(dropped, name=f"{corpus.name}-dropped"),
-    )
+    return Corpus(kept, f"{corpus.name}-kept"), Corpus(dropped, f"{corpus.name}-dropped")
 
 
 @dataclass(frozen=True)
 class BandSample:
     low: float
     high: float
-    requested: int
     pairs: tuple[SentencePair, ...]
 
     @property
@@ -121,19 +113,6 @@ class StratifiedSample:
     bands: tuple[BandSample, ...]
     warnings: tuple[str, ...]
 
-    def corpus(self, name: str = "sample") -> Corpus:
-        pairs = [p for band in self.bands for p in band.pairs]
-        return Corpus.from_pairs(pairs, name=name)
-
-    def to_tsv(self) -> str:
-        lines = ["band\tid\tscore\tsource\ttarget"]
-        for band in self.bands:
-            for p in band.pairs:
-                lines.append(
-                    f"{band.label}\t{p.id}\t{p.score:.6f}\t{p.source_text}\t{p.target_text}"
-                )
-        return "\n".join(lines) + "\n"
-
 
 def stratified_sample(
     corpus: Corpus,
@@ -143,9 +122,9 @@ def stratified_sample(
 ) -> StratifiedSample:
     """Up to per_band pairs per [low, high) score band, hash-sort selected.
 
-    Selection reuses the split rule (SHA-256 of seed and source text), so the
-    same seed always yields the same sample. Bands shorter than per_band are
-    reported as warnings, not errors.
+    Each band takes its first per_band members in hash_sorted order, the
+    order split uses, so the same seed always yields the same sample. Bands
+    shorter than per_band are reported as warnings, not errors.
     """
     if per_band < 1:
         raise ValidationError(f"per_band must be >= 1, got {per_band}")
@@ -162,14 +141,13 @@ def stratified_sample(
     out: list[BandSample] = []
     warnings: list[str] = []
     for low, high in bands:
-        members = [p for p in corpus if low <= p.score < high]
-        members.sort(key=lambda p: (sample_key(seed, p.source_text), p.id))
-        chosen = tuple(members[:per_band])
+        members = (p for p in corpus if low <= p.score < high)
+        chosen = tuple(hash_sorted(members, seed)[:per_band])
         if len(chosen) < per_band:
             warnings.append(
                 f"band [{low:g},{high:g}) has {len(chosen)} of {per_band} requested pairs"
             )
-        out.append(BandSample(low=low, high=high, requested=per_band, pairs=chosen))
+        out.append(BandSample(low=low, high=high, pairs=chosen))
     return StratifiedSample(bands=tuple(out), warnings=tuple(warnings))
 
 
@@ -199,7 +177,7 @@ def analysis_report(
     histogram_path: Optional[str] = None,
 ) -> dict:
     """JSON-ready summary: stats, retention curve, conventions used."""
-    pop = population_stats(scores)
+    pop = ScorePopulation(scores)
     curve = retention_curve(scores, thresholds)
     return {
         "n": pop.n,
@@ -333,10 +311,8 @@ def score_pairs(
     todo = [p for p in corpus if force or p.score is None]
 
     def result(error: Optional[str] = None) -> Corpus:
-        pairs = [
-            p.with_score(scored[p.id]) if p.id in scored else p for p in corpus
-        ]
-        out = corpus.with_pairs(pairs)
+        pairs = [replace(p, score=scored[p.id]) if p.id in scored else p for p in corpus]
+        out = replace(corpus, pairs=pairs)
         if error is not None:
             raise ScoringError(error, partial=out)
         return out

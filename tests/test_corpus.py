@@ -72,13 +72,10 @@ class TestLanguageTag:
 
 class TestOrigin:
     def test_known(self):
-        assert SMOLDOC.is_known
         assert Origin("SmolDoc") == SMOLDOC  # label is case-folded
 
     def test_custom(self):
-        o = Origin("tatoeba")
-        assert not o.is_known
-        assert str(o) == "tatoeba"
+        assert str(Origin("tatoeba")) == "tatoeba"
 
     @pytest.mark.parametrize("bad", ["", "has space", "tab\there"])
     def test_invalid(self, bad):
@@ -109,11 +106,6 @@ class TestSentencePair:
         with pytest.raises(ValidationError):
             make_pair(score=1.5)
 
-    def test_with_score(self):
-        p = make_pair().with_score(0.3)
-        assert p.score == 0.3
-        assert make_pair().score is None  # original untouched
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             make_pair().id = "x"
@@ -121,17 +113,17 @@ class TestSentencePair:
 
 class TestCorpus:
     def test_composition_computed(self):
-        c = Corpus.from_pairs([make_pair(0), make_pair(1), make_pair(2, id="synthetic:0", origin=SYNTHETIC)])
+        c = Corpus([make_pair(0), make_pair(1), make_pair(2, id="synthetic:0", origin=SYNTHETIC)])
         assert c.composition == {SMOLDOC: 2, SYNTHETIC: 1}
         assert len(c) == 3
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
-            Corpus.from_pairs([make_pair(0), make_pair(0)])
+            Corpus([make_pair(0), make_pair(0)])
 
     def test_iteration_preserves_order(self):
         pairs = [make_pair(i) for i in range(5)]
-        c = Corpus.from_pairs(pairs)
+        c = Corpus(pairs)
         assert list(c) == pairs
 
 
@@ -401,7 +393,7 @@ class TestIngestJsonl:
 
 class TestWrite:
     def test_tsv_round_trip(self, tmp_path):
-        c = Corpus.from_pairs([make_pair(i, src=f"hello number {i}", tgt=f"bok {i}") for i in range(3)])
+        c = Corpus([make_pair(i, src=f"hello number {i}", tgt=f"bok {i}") for i in range(3)])
         out = tmp_path / "out.tsv"
         write(c, out, "tsv")
         back = ingest(out, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
@@ -410,7 +402,7 @@ class TestWrite:
         ]
 
     def test_jsonl_round_trip_lossless(self, tmp_path):
-        c = Corpus.from_pairs(
+        c = Corpus(
             [
                 make_pair(0, score=0.25),
                 make_pair(1, id="gatitos:4", origin=Origin("gatitos")),
@@ -422,7 +414,7 @@ class TestWrite:
         assert back.pairs == c.pairs
 
     def test_tsv_escapes_backslash(self, tmp_path):
-        c = Corpus.from_pairs([make_pair(0, src="path \\\\ here")])
+        c = Corpus([make_pair(0, src="path \\\\ here")])
         out = tmp_path / "out.tsv"
         write(c, out, "tsv")
         assert "\\\\" in out.read_text(encoding="utf-8")
@@ -430,14 +422,44 @@ class TestWrite:
         assert back.pairs[0].source_text == "path \\\\ here"
 
     def test_jsonl_deterministic_bytes(self, tmp_path):
-        c = Corpus.from_pairs([make_pair(i) for i in range(10)])
+        c = Corpus([make_pair(i) for i in range(10)])
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write(c, a, "jsonl")
         write(c, b, "jsonl")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_missing_directory(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot write"):
+            write(Corpus([make_pair()]), tmp_path / "missing" / "x.tsv", "tsv")
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot write"):
+            write(Corpus([make_pair()]), tmp_path, "jsonl")
+
 
 class TestIngestBoundary:
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("data.tsv", " \tfoo"),
+            ("data.jsonl", json.dumps({"source": "  ", "target": "foo"})),
+            ("data.jsonl", json.dumps({"source": "\u00a0", "target": "foo"})),  # no-break space
+        ],
+    )
+    def test_empty_after_normalization_malformed(self, tmp_path, caplog, name, row):
+        if name.endswith(".tsv"):
+            good = ["ok %d\tbok %d" % (i, i) for i in range(20)]
+        else:
+            good = [json.dumps({"source": f"ok {i}", "target": f"bok {i}"}) for i in range(20)]
+        p = tmp_path / name
+        p.write_text("\n".join([*good, row]) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING", logger="lrmt.corpus"):
+            c = ingest(p)
+        assert [pair.id for pair in c] == [f"other:{i}" for i in range(20)]
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("row 20 malformed" in m and "empty" in m for m in messages)
+        assert any("skipped 1 malformed rows" in m for m in messages)
+
     def test_format_from_suffix(self, tmp_path):
         for name in ("a.tsv", "b.TSV"):
             p = tmp_path / name

@@ -38,7 +38,7 @@ def pair(i, src=None, tgt=None, origin=SMOLDOC):
 
 
 def corpus_of(n, origin=SMOLDOC, start=0):
-    return Corpus.from_pairs([pair(i, origin=origin) for i in range(start, start + n)])
+    return Corpus([pair(i, origin=origin) for i in range(start, start + n)])
 
 
 class TestSampleKey:
@@ -69,20 +69,20 @@ class TestDedup:
             pair(4, src="beta two", tgt="other bo"),
             pair(5, src="delta four"),
         ]
-        out, removed = dedup(Corpus.from_pairs(pairs), key="source")
+        out, removed = dedup(Corpus(pairs), key="source")
         assert len(out) == 4
         assert removed == 2
         assert [p.id for p in out] == ["smoldoc:0", "smoldoc:1", "smoldoc:3", "smoldoc:5"]
 
     def test_both_key_keeps_target_variants(self):
         pairs = [pair(0, src="same text"), pair(1, src="same text", tgt="another bo")]
-        out, removed = dedup(Corpus.from_pairs(pairs), key="both")
+        out, removed = dedup(Corpus(pairs), key="both")
         assert len(out) == 2
         assert removed == 0
 
     def test_target_key(self):
         pairs = [pair(0, tgt="same bo"), pair(1, tgt="same bo"), pair(2, tgt="other bo")]
-        out, removed = dedup(Corpus.from_pairs(pairs), key="target")
+        out, removed = dedup(Corpus(pairs), key="target")
         assert [p.id for p in out] == ["smoldoc:0", "smoldoc:2"]
         assert removed == 1
 
@@ -92,7 +92,7 @@ class TestDedup:
             pair(i, src=f"text {rng.randrange(8)}", tgt=f"bo {rng.randrange(8)}")
             for i in range(60)
         ]
-        once, _ = dedup(Corpus.from_pairs(pairs), key="both")
+        once, _ = dedup(Corpus(pairs), key="both")
         twice, removed = dedup(once, key="both")
         assert removed == 0
         assert twice.pairs == once.pairs
@@ -104,7 +104,7 @@ class TestDedup:
                 pair(i, src=f"s {rng.randrange(10)}", tgt=f"t {rng.randrange(10)}")
                 for i in range(80)
             ]
-            out, removed = dedup(Corpus.from_pairs(pairs), key=key)
+            out, removed = dedup(Corpus(pairs), key=key)
             keys = [
                 p.source_text
                 if key == "source"
@@ -133,12 +133,12 @@ class TestFilterLength:
             pair(2, src=" ".join(["w"] * 20)),
             pair(3, src=" ".join(["w"] * 21)),
         ]
-        out = filter_length(Corpus.from_pairs(pairs), 5, 20, side="source")
+        out = filter_length(Corpus(pairs), 5, 20, side="source")
         assert [p.id for p in out] == ["smoldoc:0", "smoldoc:2"]
 
     def test_target_side(self):
         pairs = [pair(0, tgt="bo"), pair(1, tgt="bo kaisa nwng tamo chini")]
-        out = filter_length(Corpus.from_pairs(pairs), 5, 20, side="target")
+        out = filter_length(Corpus(pairs), 5, 20, side="target")
         assert [p.id for p in out] == ["smoldoc:1"]
 
     def test_word_count_is_whitespace_runs(self):
@@ -161,16 +161,16 @@ class TestSwapDetection:
         assert stopword_ratio("how are you doing today", sw) == pytest.approx(3 / 5)
 
     def test_reversed_pair_flagged(self):
-        c = Corpus.from_pairs([pair(0, src="nwng tamo?", tgt="how are you doing today")])
+        c = Corpus([pair(0, src="nwng tamo?", tgt="how are you doing today")])
         assert detect_swapped_rows(c) == ["smoldoc:0"]
 
     def test_correct_orientation_not_flagged(self):
-        c = Corpus.from_pairs([pair(0, src="how are you", tgt="nwng tamo")])
+        c = Corpus([pair(0, src="how are you", tgt="nwng tamo")])
         assert detect_swapped_rows(c) == []
 
     def test_both_english_not_flagged(self):
         # source ratio >= 0.05 blocks the flag even if target scores higher
-        c = Corpus.from_pairs(
+        c = Corpus(
             [pair(0, src="the cat sat on a mat", tgt="the dog is in the house by the door")]
         )
         assert detect_swapped_rows(c) == []
@@ -192,7 +192,7 @@ class TestSwapDetection:
 
 class TestSwapRows:
     def test_swap_exchanges_texts_not_langs(self):
-        c = Corpus.from_pairs([pair(0, src="hello there", tgt="bok nai")])
+        c = Corpus([pair(0, src="hello there", tgt="bok nai")])
         out = swap_rows(c, ["smoldoc:0"])
         p = out.pairs[0]
         assert p.source_text == "bok nai"
@@ -225,7 +225,7 @@ class TestSwapRows:
                 pairs.append(pair(i, src=f"kaisa bo {i}", tgt=f"this is the english side {i}", origin=SMOLSENT))
             else:
                 pairs.append(pair(i, src=f"this is the english side {i}", tgt=f"kaisa bo {i}", origin=SMOLSENT))
-        c = Corpus.from_pairs(pairs)
+        c = Corpus(pairs)
         flagged = detect_swapped_rows(c)
         assert set(flagged) == reversed_ids
         fixed = swap_rows(c, flagged)
@@ -258,8 +258,8 @@ class TestSplit:
         base = [pair(i) for i in range(40)]
         shuffled = list(base)
         random.Random(3).shuffle(shuffled)
-        a = split(Corpus.from_pairs(base), spec_of("s", ("test", 8)))
-        b = split(Corpus.from_pairs(shuffled), spec_of("s", ("test", 8)))
+        a = split(Corpus(base), spec_of("s", ("test", 8)))
+        b = split(Corpus(shuffled), spec_of("s", ("test", 8)))
         assert a["test"].ids() == b["test"].ids()
         assert [p.id for p in a["test"]] == [p.id for p in b["test"]]  # hash order
 
@@ -273,6 +273,38 @@ class TestSplit:
         pool = corpus_of(30)
         parts = split(pool, spec_of("s", ("a", 10), ("b", 10)))
         assert parts["a"].ids() & parts["b"].ids() == set()
+
+    def test_matches_documented_rule(self):
+        # brute force: each entry takes the first `size` unassigned candidates
+        # of one global (sample_key, id) order; the rest is train, in pool order
+        rng = random.Random(21)
+        checked = tied = 0
+        for trial in range(80):
+            n = rng.randrange(1, 40)
+            texts = [f"repeated text {rng.randrange(max(n // 3, 1))}" for _ in range(n)]
+            pool = Corpus(
+                [pair(i, src=t, origin=rng.choice((SMOLDOC, GATITOS))) for i, t in enumerate(texts)]
+            )
+            entries = (("any", rng.randrange(n // 2 + 1)), ("gat", rng.randrange(n // 3 + 2), GATITOS))
+            spec = spec_of(f"seed-{trial}", *entries)
+            order = sorted(pool, key=lambda p: (sample_key(spec.seed, p.source_text), p.id))
+            taken: set[str] = set()
+            expected = {}
+            for e in spec.entries:
+                picked = [p.id for p in order if p.id not in taken and e.origin in (None, p.origin)]
+                expected[e.name] = picked[: e.size]
+                taken.update(expected[e.name])
+            if any(len(expected[e.name]) < e.size for e in spec.entries):
+                with pytest.raises(ValidationError, match="only"):
+                    split(pool, spec)
+                continue
+            expected["train"] = [p.id for p in pool if p.id not in taken]
+            parts = split(pool, spec)
+            assert list(parts) == ["any", "gat", "train"]
+            assert {name: [p.id for p in c] for name, c in parts.items()} == expected
+            checked += 1
+            tied += len(set(texts)) < n
+        assert checked > 40 and tied > 20
 
     def test_insufficient_pool(self):
         with pytest.raises(ValidationError, match="only"):
@@ -358,8 +390,8 @@ class TestVerifyOverlap:
         assert report.checked_pairs == 5
 
     def test_planted_collision_found(self):
-        train = Corpus.from_pairs([pair(0, src="shared english text"), pair(1)])
-        ev = Corpus.from_pairs([pair(7, src="shared english text", origin=GATITOS)])
+        train = Corpus([pair(0, src="shared english text"), pair(1)])
+        ev = Corpus([pair(7, src="shared english text", origin=GATITOS)])
         report = verify_overlap(train, [ev])
         assert not report.passed
         assert report.collisions == (("smoldoc:0", "gatitos:7", "shared english text"),)
@@ -367,14 +399,14 @@ class TestVerifyOverlap:
     def test_eval_to_eval_sharing_ignored(self):
         train = corpus_of(3)
         shared = "only in eval sets"
-        ev1 = Corpus.from_pairs([pair(50, src=shared, origin=GATITOS)])
-        ev2 = Corpus.from_pairs([pair(60, src=shared, origin=SMOLSENT)])
+        ev1 = Corpus([pair(50, src=shared, origin=GATITOS)])
+        ev2 = Corpus([pair(60, src=shared, origin=SMOLSENT)])
         assert verify_overlap(train, [ev1, ev2]).passed
 
     def test_dedup_split_verify_property(self):
         rng = random.Random(5)
         pairs = [pair(i, src=f"sentence {rng.randrange(120)} here") for i in range(200)]
-        clean, _ = dedup(Corpus.from_pairs(pairs), key="source")
+        clean, _ = dedup(Corpus(pairs), key="source")
         parts = split(clean, spec_of("s", ("test", 20), ("dev", 20)))
         report = verify_overlap(parts["train"], [parts["test"], parts["dev"]])
         assert report.passed
@@ -387,7 +419,7 @@ class TestVerifyOverlap:
 
 class TestFlipConcat:
     def test_single_pair(self):
-        c = Corpus.from_pairs([pair(0, src="hello there", tgt="bok nai")])
+        c = Corpus([pair(0, src="hello there", tgt="bok nai")])
         out = flip_concat(c)
         assert len(out) == 2
         orig, flip = out.pairs

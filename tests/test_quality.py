@@ -11,7 +11,7 @@ import pytest
 
 from lrmt.corpus import ENG_LATN, SMOLSENT, TRP_LATN, Corpus, SentencePair
 from lrmt.errors import ProviderError, ValidationError
-from lrmt.pipeline import sample_key
+from lrmt.pipeline import SplitEntry, SplitSpec, sample_key, split
 from lrmt.quality import (
     EmbeddingClient,
     ScorePopulation,
@@ -19,7 +19,6 @@ from lrmt.quality import (
     cosine,
     filter_by_threshold,
     histogram_csv,
-    population_stats,
     retention_curve,
     score_pairs,
     stratified_sample,
@@ -136,7 +135,7 @@ class TestPopulationStats:
         rng = random.Random(11)
         for n in (1, 2, 3, 50, 1000):
             scores = _grid_scores(rng, n) if n % 2 else [rng.uniform(-1, 1) for _ in range(n)]
-            pop = population_stats(scores)
+            pop = ScorePopulation(scores)
             assert pop.scores == tuple(scores)
             assert pop.n == n
             assert math.isclose(pop.mean, statistics.fmean(scores), rel_tol=1e-12, abs_tol=1e-15)
@@ -150,7 +149,7 @@ class TestPopulationStats:
     @pytest.mark.parametrize("scores", [[], [1.5], [0.0, -1.01], [math.nan]])
     def test_rejects(self, scores):
         with pytest.raises(ValidationError):
-            population_stats(scores)
+            ScorePopulation(scores)
 
 
 class TestRetentionCurve:
@@ -175,7 +174,7 @@ class TestRetentionCurve:
 def _scored_pool(rng, n):
     # scores on the 1/8 grid land on band edges; repeated source texts give
     # equal sample keys, so the id breaks the tie
-    return Corpus.from_pairs(
+    return Corpus(
         [
             SentencePair(
                 id=f"p{i:03d}",
@@ -193,7 +192,7 @@ def _scored_pool(rng, n):
 
 
 def _unscored(pool):
-    return pool.with_pairs([*pool.pairs, replace(pool.pairs[0], id="unscored", score=None)])
+    return replace(pool, pairs=[*pool.pairs, replace(pool.pairs[0], id="unscored", score=None)])
 
 
 class TestFilterByThreshold:
@@ -224,9 +223,7 @@ class TestStratifiedSample:
             pool = _scored_pool(rng, n)
             for per_band in (1, 3, 100):
                 sample = stratified_sample(pool, self.BANDS, per_band, seed="s")
-                assert [(b.low, b.high, b.requested) for b in sample.bands] == [
-                    (low, high, per_band) for low, high in self.BANDS
-                ]
+                assert [(b.low, b.high) for b in sample.bands] == list(self.BANDS)
                 for band in sample.bands:
                     members = {p.id: p for p in pool if band.low <= p.score < band.high}
                     chosen = [p.id for p in band.pairs]
@@ -238,10 +235,20 @@ class TestStratifiedSample:
                     if chosen and rest:
                         assert rank[chosen[-1]] < min(rest)
 
+    def test_one_band_matches_split(self):
+        # a band that covers every score picks what a one-entry split picks
+        rng = random.Random(17)
+        for n in (1, 9, 70):
+            pool = _scored_pool(rng, n)
+            for size in {1, max(n // 2, 1), n}:
+                sample = stratified_sample(pool, [(-1.0, 2.0)], size, seed="s")
+                part = split(pool, SplitSpec(seed="s", entries=(SplitEntry("x", size),)))
+                assert sample.bands[0].pairs == part["x"].pairs
+
     def test_short_band_warnings(self):
         base = _scored_pool(random.Random(15), 1).pairs[0]
         scores = (-0.75, -0.6, 0.5, 0.5, 0.9)
-        pool = Corpus.from_pairs([replace(base, id=f"q{i}", score=s) for i, s in enumerate(scores)])
+        pool = Corpus([replace(base, id=f"q{i}", score=s) for i, s in enumerate(scores)])
         sample = stratified_sample(pool, self.BANDS, 3, seed="s")
         assert sample.warnings == (
             "band [-1,-0.5) has 2 of 3 requested pairs",
@@ -256,7 +263,7 @@ class TestStratifiedSample:
         for _ in range(5):
             shuffled = list(pool.pairs)
             rng.shuffle(shuffled)
-            assert stratified_sample(pool.with_pairs(shuffled), self.BANDS, 4, seed="s") == expected
+            assert stratified_sample(replace(pool, pairs=shuffled), self.BANDS, 4, seed="s") == expected
 
     @pytest.mark.parametrize(
         "bands, per_band",
@@ -387,7 +394,7 @@ class TestEmbeddingClient:
         # batch 1 (source, target) succeeds; batch 2 fails on every attempt
         server, client = serve((200, None), (200, None), (503, b""))
         with pytest.raises(ScoringError) as info:
-            score_pairs(Corpus.from_pairs(pairs), client, batch_size=2)
+            score_pairs(Corpus(pairs), client, batch_size=2)
         partial = {p.id: p.score for p in info.value.partial}
         assert partial == {
             p.id: (cosine(_vector(p.source_text), _vector(p.target_text)) if i < 2 else None)
@@ -399,5 +406,5 @@ class TestEmbeddingClient:
         pair = SentencePair("p0", "a", "b", ENG_LATN, TRP_LATN, SMOLSENT)
         server, client = serve((200, None), (200, b'{"vectors": [[1.0, 2.0, 3.0]], "dim": 3}'))
         with pytest.raises(ScoringError, match="dimension mismatch: 2 vs 3") as info:
-            score_pairs(Corpus.from_pairs([pair]), client)
+            score_pairs(Corpus([pair]), client)
         assert [p.score for p in info.value.partial] == [None]
