@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+from ..errors import ValidationError
 from .tokenizer import check_parallel, ngram_stats
 
 DEFAULT_CHAR_ORDER = 6
@@ -24,8 +27,13 @@ def chrf(
 
     Statistics are summed across the corpus before the F computation. Orders
     where neither side produced any n-grams are left out of the mean; an order
-    with grams on one side only contributes an F of 0.
+    with grams on one side only contributes an F of 0. A char_order below 1
+    or a beta that is negative or not finite raises ValidationError.
     """
+    if not isinstance(char_order, int) or char_order < 1:
+        raise ValidationError(f"chrF needs an integer char_order >= 1, got {char_order!r}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValidationError(f"chrF needs a finite beta >= 0, got {beta!r}")
     check_parallel(hyps, refs)
     segments = [chrf_stats(h, r, char_order) for h, r in zip(hyps, refs)]
     f_sum = 0.0

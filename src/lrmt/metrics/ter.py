@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections import Counter
+from typing import Mapping, Sequence
 
 from ..errors import ValidationError
 from ._kernels import (
@@ -17,7 +18,19 @@ MAX_SHIFT_SIZE = 10
 MAX_SHIFT_DIST = 50
 
 
-def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, base: int):
+def _shift_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
+    """The least edit distance any reordering of `hyp` has to `ref`.
+
+    Shifts keep the multiset of hypothesis tokens, so an alignment matches at
+    most M = |bag(hyp) & bag(ref)| tokens and costs at least max(n, m) - M;
+    putting the shared tokens in reference order reaches that.
+    """
+    return max(len(hyp), len(ref)) - sum((Counter(hyp) & Counter(ref)).values())
+
+
+def _best_shift(
+    current: list[str], ref_masks: Mapping[str, int], ref_len: int, base: int, floor: int
+):
     """The single block move that reduces edit distance the most.
 
     Every contiguous block up to the size cap is tried at every landing
@@ -26,7 +39,7 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
     deterministic. Returns (new_hyp, new_dist) or None when nothing strictly
     improves.
 
-    Each move swaps two adjacent blocks. Three shortcuts make each candidate
+    Each move swaps two adjacent blocks. Four shortcuts make the search
     cheaper and leave the result exact (Snover et al. 2006; Post 2018):
 
     1. Moving `current[i:i+size]` left to `k` gives the same sequence as
@@ -44,6 +57,8 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
     3. The distance drops by at most one per token read (D[i+1][m] >=
        D[i][m] - 1), so a candidate is abandoned once its score minus the
        tokens left reaches `best_dist`: it can no longer be strictly lower.
+    4. No candidate is below `floor` (`_shift_floor`), so the scan returns
+       as soon as one reaches it: no later candidate could replace it.
     """
     best = None
     best_dist = base
@@ -59,27 +74,36 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
                 if state is not None:
                     best_dist = state[2]
                     best = current[:k] + tail
+                    if best_dist == floor:
+                        return best, best_dist
             for k in range(i + size, min(n - size, i + MAX_SHIFT_DIST) + 1):
                 tail = after[: k - i] + block + after[k - i :]
                 state = levenshtein_resume(tail, ref_masks, ref_len, states[i], best_dist)
                 if state is not None:
                     best_dist = state[2]
                     best = current[:i] + tail
+                    if best_dist == floor:
+                        return best, best_dist
     if best is None:
         return None
     return best, best_dist
 
 
 def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, float]:
-    """(edit count, rate). Rate = edits / reference length, unscaled."""
+    """(edit count, rate). Rate = edits / reference length, unscaled.
+
+    Shifts are searched greedily until none lowers the edit distance, or the
+    distance reaches `_shift_floor`, below which no shift can take it.
+    """
     if len(ref) == 0:
         raise ValidationError("TER needs a non-empty reference")
     ref_masks = match_masks(ref.tokens)
     current = list(hyp.tokens)
     shifts = 0
     dist = levenshtein_masks(current, ref_masks, len(ref))
-    while dist > 0:
-        found = _best_shift(current, ref_masks, len(ref), dist)
+    floor = _shift_floor(current, ref.tokens)
+    while dist > floor:
+        found = _best_shift(current, ref_masks, len(ref), dist, floor)
         if found is None:
             break
         current, dist = found

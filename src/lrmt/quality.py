@@ -95,6 +95,10 @@ def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpu
     return Corpus(kept, f"{corpus.name}-kept"), Corpus(dropped, f"{corpus.name}-dropped")
 
 
+# the highest score a pair can have; a band ending here includes it
+TOP_SCORE = 1.0
+
+
 @dataclass(frozen=True)
 class BandSample:
     low: float
@@ -103,7 +107,7 @@ class BandSample:
 
     @property
     def label(self) -> str:
-        return f"[{self.low:g},{self.high:g})"
+        return f"[{self.low:g},{self.high:g}" + ("]" if self.high == TOP_SCORE else ")")
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,9 @@ def stratified_sample(
 ) -> StratifiedSample:
     """Up to per_band pairs per [low, high) score band, hash-sort selected.
 
+    A band whose high is 1.0 is closed, [low, 1.0], so it holds the pairs
+    that score exactly 1.0, such as untranslated copies.
+
     Each band takes its first per_band members in hash_sorted order, the
     order split uses, so the same seed always yields the same sample. Bands
     shorter than per_band are reported as warnings, not errors.
@@ -133,7 +140,7 @@ def stratified_sample(
             raise ValidationError(f"empty band [{low},{high})")
     spans = sorted(bands)
     for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
-        if b_lo < a_hi:
+        if b_lo < a_hi or b_lo == a_hi == TOP_SCORE:
             raise ValidationError(f"bands overlap: [{a_lo},{a_hi}) and [{b_lo},{b_hi})")
     for pair in corpus:
         if pair.score is None:
@@ -141,13 +148,11 @@ def stratified_sample(
     out: list[BandSample] = []
     warnings: list[str] = []
     for low, high in bands:
-        members = (p for p in corpus if low <= p.score < high)
-        chosen = tuple(hash_sorted(members, seed)[:per_band])
-        if len(chosen) < per_band:
-            warnings.append(
-                f"band [{low:g},{high:g}) has {len(chosen)} of {per_band} requested pairs"
-            )
-        out.append(BandSample(low=low, high=high, pairs=chosen))
+        members = (p for p in corpus if low <= p.score < high or p.score == high == TOP_SCORE)
+        band = BandSample(low=low, high=high, pairs=tuple(hash_sorted(members, seed)[:per_band]))
+        if len(band.pairs) < per_band:
+            warnings.append(f"band {band.label} has {len(band.pairs)} of {per_band} requested pairs")
+        out.append(band)
     return StratifiedSample(bands=tuple(out), warnings=tuple(warnings))
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -154,6 +155,16 @@ class TestChrf:
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
             chrf([], [])
+
+    @pytest.mark.parametrize(
+        "char_order, beta",
+        [(0, 2.0), (-2, 2.0), (2.5, 2.0), (6, math.nan), (6, math.inf), (6, -math.inf), (6, -1.0)],
+        ids=["order-0", "order-negative", "order-float", "beta-nan", "beta-inf", "beta-neg-inf", "beta-negative"],
+    )
+    def test_rejects_bad_settings(self, char_order, beta):
+        # on identical text these used to give a plausible 0.0 or 100.0
+        with pytest.raises(ValidationError):
+            chrf(["hello world"], ["hello world"], char_order, beta)
 
     def test_range(self):
         rng = random.Random(47)

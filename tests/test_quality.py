@@ -225,7 +225,12 @@ class TestStratifiedSample:
                 sample = stratified_sample(pool, self.BANDS, per_band, seed="s")
                 assert [(b.low, b.high) for b in sample.bands] == list(self.BANDS)
                 for band in sample.bands:
-                    members = {p.id: p for p in pool if band.low <= p.score < band.high}
+                    # [low, high), closed when high is the top score 1.0
+                    members = {
+                        p.id: p
+                        for p in pool
+                        if band.low <= p.score < band.high or p.score == band.high == 1.0
+                    }
                     chosen = [p.id for p in band.pairs]
                     assert len(chosen) == min(per_band, len(members))
                     assert set(chosen) <= set(members)
@@ -256,6 +261,15 @@ class TestStratifiedSample:
         )
         assert stratified_sample(pool, self.BANDS[:1], 3, seed="s").warnings == ()
 
+    def test_band_ending_at_one_is_closed(self):
+        # an untranslated copy scores exactly 1.0
+        base = _scored_pool(random.Random(15), 1).pairs[0]
+        pool = Corpus([replace(base, score=1.0)])
+        sample = stratified_sample(pool, [(0.0, 1.0)], 1, seed="s")
+        assert sample.bands[0].pairs == pool.pairs
+        assert sample.bands[0].label == "[0,1]"
+        assert sample.warnings == ()
+
     def test_independent_of_pool_order(self):
         rng = random.Random(16)
         pool = _scored_pool(rng, 60)
@@ -271,6 +285,7 @@ class TestStratifiedSample:
             (((0.0, 0.5), (0.25, 1.0)), 2),
             (((0.5, 1.0), (-1.0, 0.75)), 2),
             (((0.5, 0.5),), 2),
+            (((0.5, 1.0), (1.0, 1.5)), 2),
             (((0.5, 0.0),), 2),
             (((0.0, math.nan),), 2),
             (((math.nan, 0.5),), 2),
@@ -279,7 +294,7 @@ class TestStratifiedSample:
             (BANDS, -1),
         ],
         ids=[
-            "overlap", "overlap-unsorted", "empty", "reversed", "nan-high", "nan-low",
+            "overlap", "overlap-unsorted", "empty", "share-closed-top", "reversed", "nan-high", "nan-low",
             "nan-second", "per-band-0", "per-band-negative",
         ],
     )

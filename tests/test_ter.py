@@ -5,7 +5,14 @@ import pytest
 
 from lrmt.errors import ValidationError
 from lrmt.metrics._kernels import levenshtein_masks, match_masks
-from lrmt.metrics.ter import MAX_SHIFT_DIST, MAX_SHIFT_SIZE, _best_shift, ter_corpus, ter_sentence
+from lrmt.metrics.ter import (
+    MAX_SHIFT_DIST,
+    MAX_SHIFT_SIZE,
+    _best_shift,
+    _shift_floor,
+    ter_corpus,
+    ter_sentence,
+)
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 
@@ -76,13 +83,33 @@ def reference_best_shift(current, ref_masks, ref_len, base):
     return best, best_dist
 
 
-def best_shift(hyp, ref, search=_best_shift):
+def best_shift(hyp, ref):
+    """_best_shift from hyp's own distance, with the floor ter_sentence gives it."""
     ref_masks = match_masks(ref)
-    return search(hyp, ref_masks, len(ref), levenshtein_masks(hyp, ref_masks, len(ref)))
+    base = levenshtein_masks(hyp, ref_masks, len(ref))
+    return _best_shift(hyp, ref_masks, len(ref), base, _shift_floor(hyp, ref))
 
 
 def assert_same_best_shift(hyp, ref):
-    assert best_shift(hyp, ref) == best_shift(hyp, ref, reference_best_shift), (hyp, ref)
+    ref_masks = match_masks(ref)
+    base = levenshtein_masks(hyp, ref_masks, len(ref))
+    assert best_shift(hyp, ref) == reference_best_shift(hyp, ref_masks, len(ref), base), (hyp, ref)
+
+
+def floorless_edits(hyp, ref):
+    """TER edits from the greedy loop without the floor: shift while any
+    shift helps, with the plain scan."""
+    ref_masks = match_masks(ref)
+    current = list(hyp)
+    shifts = 0
+    dist = levenshtein_masks(current, ref_masks, len(ref))
+    while dist > 0:
+        found = reference_best_shift(current, ref_masks, len(ref), dist)
+        if found is None:
+            break
+        current, dist = found
+        shifts += 1
+    return shifts + dist
 
 
 def sent(text):
@@ -163,6 +190,32 @@ class TestTerSentence:
         hyp = [rng.choice(vocab) for _ in range(rng.randrange(52, 61))]
         ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 61))]
         assert_same_best_shift(hyp, ref)
+
+    def test_floor_is_min_over_reorderings(self):
+        rng = random.Random(52)
+        for _ in range(300):
+            vocab = "abcd"[: rng.randrange(1, 5)]
+            hyp = tuple(rng.choice(vocab) for _ in range(rng.randrange(0, 7)))
+            ref = tuple(rng.choice(vocab) for _ in range(rng.randrange(1, 7)))
+            reachable = min(lev(p, ref) for p in set(itertools.permutations(hyp)))
+            assert _shift_floor(hyp, ref) == reachable, (hyp, ref)
+
+    def test_floor_does_not_bind(self):
+        # every reordering of c b a can reach a b c, but no single shift helps
+        hyp, ref = ["c", "b", "a"], ["a", "b", "c"]
+        assert _shift_floor(hyp, ref) == 0
+        assert best_shift(hyp, ref) is None
+        assert ter_sentence(toks(*hyp), toks(*ref)) == (2, 2 / 3)
+
+    def test_matches_floorless_loop(self):
+        # tiny vocabularies make ties common, so a changed first winner shows
+        rng = random.Random(53)
+        for _ in range(150):
+            vocab = "abcde"[: rng.randrange(1, 6)]
+            hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 13))]
+            ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 13))]
+            edits, _ = ter_sentence(toks(*hyp), toks(*ref))
+            assert edits == floorless_edits(hyp, ref), (hyp, ref)
 
     def test_empty_ref_rejected(self):
         with pytest.raises(ValidationError):
