@@ -201,14 +201,15 @@ class TestTerSentence:
             assert _shift_floor(hyp, ref) == reachable, (hyp, ref)
 
     def test_floor_does_not_bind(self):
-        # every reordering of c b a can reach a b c, but no single shift helps
+        # c b a reorders to a b c, but no single shift lowers the distance
         hyp, ref = ["c", "b", "a"], ["a", "b", "c"]
         assert _shift_floor(hyp, ref) == 0
         assert best_shift(hyp, ref) is None
         assert ter_sentence(toks(*hyp), toks(*ref)) == (2, 2 / 3)
 
     def test_matches_floorless_loop(self):
-        # tiny vocabularies make ties common, so a changed first winner shows
+        # tiny vocabularies make ties common, so a different first winner
+        # among equal shifts would show in later shifts' counts
         rng = random.Random(53)
         for _ in range(150):
             vocab = "abcde"[: rng.randrange(1, 6)]
