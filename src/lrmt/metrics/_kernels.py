@@ -12,7 +12,12 @@ of a vector stands for position j of the second sequence `b`; each token of
 `levenshtein_prefix_states` and `levenshtein_resume` let a caller that scores
 many sequences sharing a prefix with one sequence (TER's shift search) run the
 DP over that prefix once, and drop a sequence as soon as its distance cannot
-fall below a bound.
+fall below a bound. The bound is the value, in the current row, of the
+diagonal that ends in the final cell: DP values never decrease along a
+diagonal (Ukkonen 1985, Inf. Control 64(1-3)), so it never exceeds the
+distance, and it reaches the distance at the last token.
+`resume_lower_bound` reads it off a state by two popcounts; the resumed DP
+then follows it with one bit of Hyyrö's diagonal-zero vector per token.
 
 Tokens need only be hashable. `benchmarks/run.py --trace 1` reports the
 `metrics.kernels.levenshtein_us` and `metrics.kernels.lcs_us` timings.
@@ -64,6 +69,23 @@ def levenshtein_prefix_states(
     return states
 
 
+def resume_lower_bound(state: LevState, m: int, rem: int) -> int:
+    """A lower bound on the distance after `rem` more tokens from `state`.
+
+    The state is row i of the DP; the distance will be the final cell
+    D[i+rem][m]. Its diagonal meets row i at column c = m - rem. For c >= 0
+    the bound is that cell, D[i][c]: the last cell minus the column's deltas
+    from c on. For c < 0 the diagonal enters the table at D[i-c][0] = i - c,
+    and D[i][0] = i. DP values never decrease along a diagonal (Ukkonen 1985,
+    Inf. Control 64), so either is a lower bound. It is never below `score -
+    rem`, the last cell dropping by one per token: for c >= 0, D[i][m] -
+    D[i][c] <= rem.
+    """
+    vp, vn, score = state
+    c = max(m - rem, 0)
+    return score - (vp >> c).bit_count() + (vn >> c).bit_count() + c - (m - rem)
+
+
 def levenshtein_resume(
     a: Sequence[Hashable],
     peq: Mapping[Hashable, int],
@@ -75,32 +97,35 @@ def levenshtein_resume(
 
     Returns the state after `a`, whose score is the edit distance from
     prefix + `a` to `b`; `m >= 1`. Returns None instead as soon as that
-    distance is sure to be `>= bound`: the last cell drops by at most one per
-    token (D[i+1][m] >= D[i][m] - 1), so the distance is at least the score
-    minus the tokens still to read. A bound above the largest possible
-    distance (prefix length + len(a) + m) never gives up.
+    distance is sure to be `>= bound`. The kernel follows the diagonal that
+    ends in the final cell, from its `resume_lower_bound` value in the
+    current row, and gives up once that value reaches `bound`. Each token
+    moves it one cell down the diagonal: the step costs nothing when bit c of
+    the diagonal-zero vector D0 = Xh | Mv is set (D[i+1][c+1] == D[i][c];
+    Hyyrö 2001), and one otherwise. After the last token the diagonal is at
+    the final cell, so its value is the score. A bound above the largest
+    possible distance (prefix length + len(a) + m) never gives up.
     """
+    # resume_lower_bound, inlined: it runs once per call, and TER's shift
+    # search makes a call per candidate
     vp, vn, score = state
-    # score minus tokens still to read: a lower bound that never decreases
-    low = score - len(a)
+    c = m - len(a)
+    s = c if c > 0 else 0
+    low = score - (vp >> s).bit_count() + (vn >> s).bit_count() + s - c
     if low >= bound:
         return None
     mask = (1 << m) - 1
-    last = 1 << (m - 1)
     for tok in a:
         eq = peq.get(tok, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        if hp & last:
-            low += 2
-            if low >= bound:
-                return None
-        elif not (hn & last):
+        if c >= 0 and not ((xh | vn) >> c) & 1:
             low += 1
             if low >= bound:
                 return None
+        c += 1
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
         hp = (hp << 1) | 1
         hn <<= 1
         vp = (hn | ~(xv | hp)) & mask

@@ -11,6 +11,7 @@ from ._kernels import (
     levenshtein_prefix_states,
     levenshtein_resume,
     match_masks,
+    resume_lower_bound,
 )
 from .tokenizer import TokenizedSentence, check_parallel
 
@@ -54,9 +55,15 @@ def _best_shift(
     2. A candidate shares its first `min(i, k)` tokens with `current`, so
        the DP resumes from the state after that prefix, computed once per
        call.
-    3. The distance drops by at most one per token read (D[i+1][m] >=
-       D[i][m] - 1), so a candidate is abandoned once its score minus the
-       tokens left reaches `best_dist`: it can no longer be strictly lower.
+    3. DP values never decrease along a diagonal (Ukkonen 1985), so the
+       cell where the final cell's diagonal crosses the current row bounds a
+       candidate's distance from below; `levenshtein_resume` abandons the
+       candidate once that cell reaches `best_dist`, when it can no longer
+       be strictly lower. Every candidate resumed from `states[k]` reads the
+       last `n - k` tokens, so its starting cell, `resume_lower_bound`, is
+       known before its tail is built: it is computed once per `k`, and a
+       left move landing at `k`, or a right move from `i`, is skipped
+       without building a tail while that cell is already `>= best_dist`.
     4. No candidate is below `floor` (`_shift_floor`), so the scan returns
        as soon as one reaches it: no later candidate could replace it.
     """
@@ -64,11 +71,14 @@ def _best_shift(
     best_dist = base
     n = len(current)
     states = levenshtein_prefix_states(current, ref_masks, ref_len)
+    starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
             block = current[i : i + size]
             after = current[i + size :]
             for k in range(max(0, i - MAX_SHIFT_DIST), i - size):
+                if starts[k] >= best_dist:
+                    continue
                 tail = block + current[k:i] + after
                 state = levenshtein_resume(tail, ref_masks, ref_len, states[k], best_dist)
                 if state is not None:
@@ -77,6 +87,8 @@ def _best_shift(
                     if best_dist == floor:
                         return best, best_dist
             for k in range(i + size, min(n - size, i + MAX_SHIFT_DIST) + 1):
+                if starts[i] >= best_dist:
+                    break
                 tail = after[: k - i] + block + after[k - i :]
                 state = levenshtein_resume(tail, ref_masks, ref_len, states[i], best_dist)
                 if state is not None:
@@ -93,7 +105,10 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
     """(edit count, rate). Rate = edits / reference length, unscaled.
 
     Shifts are searched greedily until none lowers the edit distance, or the
-    distance reaches `_shift_floor`, below which no shift can take it.
+    distance is within one of `_shift_floor`, below which no shift can take
+    it. Stopping at floor + 1 is exact: a shift costs one edit, so from there
+    it could at best trade one substitution for one shift and leave shifts +
+    distance as it is.
     """
     if len(ref) == 0:
         raise ValidationError("TER needs a non-empty reference")
@@ -102,7 +117,7 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
     shifts = 0
     dist = levenshtein_masks(current, ref_masks, len(ref))
     floor = _shift_floor(current, ref.tokens)
-    while dist > floor:
+    while dist > floor + 1:
         found = _best_shift(current, ref_masks, len(ref), dist, floor)
         if found is None:
             break

@@ -49,18 +49,25 @@ def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int
     for orders 1..max_order.
 
     An n-gram is a slice, so a string gives character n-grams and a token
-    tuple word n-grams. One Counter per side holds the n-grams of every
-    order, keyed by the n-gram itself (its order is its length).
+    tuple word n-grams. One Counter holds the hypothesis n-grams of every
+    order, keyed by the n-gram itself (its order is its length). Each
+    reference n-gram then takes one of its copies while any are left, so an
+    n-gram matches min(hyp count, ref count) times: the clipped count.
     """
     orders = range(1, max_order + 1)
-    h_grams = Counter(hyp[i : i + n] for n in orders for i in range(len(hyp) - n + 1))
-    r_grams = Counter(ref[i : i + n] for n in orders for i in range(len(ref) - n + 1))
-    matched = [0] * max_order
-    for g in h_grams.keys() & r_grams.keys():
-        matched[len(g) - 1] += min(h_grams[g], r_grams[g])
-    return tuple(
-        (matched[n - 1], max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)) for n in orders
-    )
+    left = Counter(hyp[i : i + n] for n in orders for i in range(len(hyp) - n + 1))
+    get = left.get
+    stats = []
+    for n in orders:
+        matched = 0
+        for i in range(len(ref) - n + 1):
+            gram = ref[i : i + n]
+            copies = get(gram)
+            if copies:
+                left[gram] = copies - 1
+                matched += 1
+        stats.append((matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)))
+    return tuple(stats)
 
 
 def _is_ascii_digit(ch: str) -> bool:

@@ -14,10 +14,11 @@ from lrmt.metrics._kernels import (
     levenshtein_prefix_states,
     levenshtein_resume,
     match_masks,
+    resume_lower_bound,
 )
 
 
-def lev_oracle(a, b):
+def lev_matrix(a, b):
     # textbook full-matrix DP, no tricks
     n, m = len(a), len(b)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
@@ -29,7 +30,11 @@ def lev_oracle(a, b):
         for j in range(1, m + 1):
             cost = 0 if a[i - 1] == b[j - 1] else 1
             dp[i][j] = min(dp[i - 1][j] + 1, dp[i][j - 1] + 1, dp[i - 1][j - 1] + cost)
-    return dp[n][m]
+    return dp
+
+
+def lev_oracle(a, b):
+    return lev_matrix(a, b)[len(a)][len(b)]
 
 
 def lcs_oracle(a, b):
@@ -99,20 +104,75 @@ class TestResume:
             assert state == levenshtein_prefix_states(whole, peq, len(b))[-1]
             assert levenshtein_masks(whole, peq, len(b)) == state[2]
 
+    def continuation(self, rng, a, p):
+        """The rest of `a`, a permutation of it (as TER's tails are), or
+        fresh tokens."""
+        kind = rng.randrange(3)
+        if kind == 0:
+            return a[p:]
+        if kind == 1:
+            return rng.sample(a[p:], len(a) - p)
+        return [rng.randrange(20) for _ in range(rng.randrange(0, 41))]
+
     def test_bound_gives_up_only_at_or_above_it(self):
         rng = random.Random(82)
-        for _ in range(200):
+        for _ in range(300):
             a, b = self.random_case(rng)
             peq = match_masks(b)
             states = levenshtein_prefix_states(a, peq, len(b))
             p = rng.randrange(len(a) + 1)
-            true = lev_oracle(a, b)
+            rest = self.continuation(rng, a, p)
+            whole = a[:p] + rest
+            true = lev_oracle(whole, b)
             for bound in range(true - 2, true + 3):
-                state = levenshtein_resume(a[p:], peq, len(b), states[p], bound)
+                state = levenshtein_resume(rest, peq, len(b), states[p], bound)
                 if true < bound:
-                    assert state == states[-1]
+                    assert state == levenshtein_prefix_states(whole, peq, len(b))[-1]
                 else:
                     assert state is None
+
+    def test_lower_bound_is_the_final_cells_diagonal(self):
+        # D[i][m - rem] while that column exists, then where the diagonal
+        # enters column 0; never above any continuation's distance, never
+        # below the last cell minus the tokens left
+        rng = random.Random(83)
+        for _ in range(100):
+            vocab = rng.randrange(1, 9)
+            a = [rng.randrange(vocab) for _ in range(rng.randrange(0, 16))]
+            b = [rng.randrange(vocab) for _ in range(rng.randrange(1, 16))]
+            m = len(b)
+            dp = lev_matrix(a, b)
+            states = levenshtein_prefix_states(a, match_masks(b), m)
+            for i in range(len(a) + 1):
+                for rem in range(m + 4):
+                    low = resume_lower_bound(states[i], m, rem)
+                    assert low == (dp[i][m - rem] if rem <= m else i + rem - m)
+                    assert low >= dp[i][m] - rem
+                    rest = [rng.randrange(vocab) for _ in range(rem)]
+                    assert low <= lev_oracle(a[:i] + rest, b)
+
+    def test_gives_up_on_the_diagonal_before_reading_on(self):
+        # After "a f" against a..f the last cell is 4, so the last cell minus
+        # the two tokens left is 2, below the bound 3; the diagonal cell
+        # D[2][4] = lev("a f", "a b c d") = 3 already reaches it, so the
+        # kernel stops before it hashes the next token.
+        class Unread(Exception):
+            pass
+
+        class Unreadable:
+            def __hash__(self):
+                raise Unread
+
+        b = list("abcdef")
+        peq = match_masks(b)
+        start = levenshtein_prefix_states([], peq, len(b))[0]
+        tail = ["a", "f", Unreadable(), "x"]
+        assert levenshtein_prefix_states(tail[:2], peq, len(b))[-1][2] == 4
+        assert lev_oracle(tail[:2], b[:4]) == 3
+        assert levenshtein_resume(tail, peq, len(b), start, 3) is None
+        # one bound higher, the diagonal stays below it and the token is read
+        with pytest.raises(Unread):
+            levenshtein_resume(tail, peq, len(b), start, 4)
 
 
 class TestLcs:

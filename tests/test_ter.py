@@ -112,6 +112,26 @@ def floorless_edits(hyp, ref):
     return shifts + dist
 
 
+def eval_long_pair(rng, n):
+    """A hyp/ref pair shaped like the benchmark's long segments: an n-token
+    reference of Zipf-weighted words, and a hypothesis made from it by one
+    block move, one substitution, one drop and one insertion."""
+    words = [f"w{r}" for r in range(60)]
+    weights = [1 / (r + 1) for r in range(60)]
+    ref = rng.choices(words, weights, k=n)
+    hyp = list(ref)
+    size = rng.randint(2, 4)
+    start = rng.randrange(n - size + 1)
+    block = hyp[start : start + size]
+    del hyp[start : start + size]
+    dest = rng.choice([k for k in range(len(hyp) + 1) if k != start])
+    hyp[dest:dest] = block
+    hyp[rng.randrange(len(hyp))] = rng.choice(words)
+    del hyp[rng.randrange(len(hyp))]
+    hyp.insert(rng.randrange(len(hyp) + 1), rng.choice(words))
+    return hyp, ref
+
+
 def sent(text):
     return tokenize_13a(text)
 
@@ -215,6 +235,16 @@ class TestTerSentence:
             vocab = "abcde"[: rng.randrange(1, 6)]
             hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 13))]
             ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 13))]
+            edits, _ = ter_sentence(toks(*hyp), toks(*ref))
+            assert edits == floorless_edits(hyp, ref), (hyp, ref)
+
+    def test_long_segments_match_plain_scan(self):
+        # the lengths where the diagonal bound and the start-column skip
+        # prune most; the cases above stay under 13 tokens
+        rng = random.Random(54)
+        for n in (16, 23, 30):
+            hyp, ref = eval_long_pair(rng, n)
+            assert_same_best_shift(hyp, ref)
             edits, _ = ter_sentence(toks(*hyp), toks(*ref))
             assert edits == floorless_edits(hyp, ref), (hyp, ref)
 

@@ -1,10 +1,12 @@
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
+from lrmt.metrics.tokenizer import TokenizedSentence, ngram_stats, tokenize_13a
 
 GOLDEN = Path(__file__).parent / "data" / "tokenizer_golden.json"
 
@@ -70,3 +72,34 @@ class TestGoldenFile:
         for case in cases:
             got = list(tokenize_13a(case["text"]).tokens)
             assert got == case["tokens"], f"tokenization drifted for {case['text']!r}"
+
+
+def intersection_ngram_stats(hyp, ref, max_order):
+    """Clipped matches as the Counter intersection of both sides' n-grams."""
+    out = []
+    for n in range(1, max_order + 1):
+        h = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+        r = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+        out.append((sum((h & r).values()), max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)))
+    return tuple(out)
+
+
+class TestNgramStats:
+    def test_known_case(self):
+        # "a", "b" and "ab" twice in the hyp, once in the ref: each clipped to one
+        assert ngram_stats("abab", "abx", 2) == ((2, 4, 3), (1, 3, 2))
+
+    def test_matches_counter_intersection(self):
+        # small alphabets repeat n-grams, so clipping is exercised on both sides
+        rng = random.Random(90)
+        for _ in range(300):
+            alphabet = "abcde"[: rng.randrange(1, 6)]
+            max_order = rng.randrange(1, 7)
+            hyp = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 25)))
+            ref = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 25)))
+            for h, r in ((hyp, ref), (tuple(hyp), tuple(ref))):
+                assert ngram_stats(h, r, max_order) == intersection_ngram_stats(h, r, max_order)
+
+    def test_words_and_characters_counted_apart(self):
+        # a word unigram "ab" is not the character bigram "ab"
+        assert ngram_stats(("ab",), ("a", "b"), 2) == ((0, 1, 2), (0, 0, 1))
