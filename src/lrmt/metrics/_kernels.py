@@ -82,8 +82,9 @@ def resume_lower_bound(state: LevState, m: int, rem: int) -> int:
     D[i][c] <= rem.
     """
     vp, vn, score = state
-    c = max(m - rem, 0)
-    return score - (vp >> c).bit_count() + (vn >> c).bit_count() + c - (m - rem)
+    c = m - rem
+    s = c if c > 0 else 0
+    return score - (vp >> s).bit_count() + (vn >> s).bit_count() + s - c
 
 
 def levenshtein_resume(
@@ -101,7 +102,7 @@ def levenshtein_resume(
     ends in the final cell, from its `resume_lower_bound` value in the
     current row, and gives up once that value reaches `bound`. Each token
     moves it one cell down the diagonal: the step costs nothing when bit c of
-    the diagonal-zero vector D0 = Xh | Mv is set (D[i+1][c+1] == D[i][c];
+    the diagonal-zero vector D0 = xh | vn is set (D[i+1][c+1] == D[i][c];
     Hyyrö 2001), and one otherwise. After the last token the diagonal is at
     the final cell, so its value is the score. A bound above the largest
     possible distance (prefix length + len(a) + m) never gives up.

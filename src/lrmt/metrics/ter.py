@@ -106,9 +106,9 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
 
     Shifts are searched greedily until none lowers the edit distance, or the
     distance is within one of `_shift_floor`, below which no shift can take
-    it. Stopping at floor + 1 is exact: a shift costs one edit, so from there
-    it could at best trade one substitution for one shift and leave shifts +
-    distance as it is.
+    it. Stopping at floor + 1 is exact: a shift costs one edit and cannot
+    take the distance below the floor, so from there no shift lowers shifts +
+    distance.
     """
     if len(ref) == 0:
         raise ValidationError("TER needs a non-empty reference")

@@ -48,8 +48,8 @@ def export(rev: str, dest: Path) -> str:
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
         cwd=REPO, check=True, capture_output=True, text=True,
     ).stdout.strip()
-    tar = subprocess.run(["git", "archive", commit], cwd=REPO, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+    tar = subprocess.run(["git", "archive", commit], cwd=REPO, check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest, filter="data")
     return commit
 
@@ -65,8 +65,8 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    record = json.loads((root / ".bench_run" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
-    result["signature"] = record["signature"]
+    record = root / ".bench_run" / f"{workload}-seed{seed}-trace{trace}.json"
+    result["signature"] = json.loads(record.read_text())["signature"]
     return result
 
 
