@@ -157,9 +157,8 @@ def ingest(
     target_lang: LanguageTag = TRP_LATN,
     origin: Origin = Origin("other"),
     header: bool = False,
-    name: str | None = None,
 ) -> Corpus:
-    """Read a TSV or JSONL file into a Corpus.
+    """Read a TSV or JSONL file into a Corpus named after the file's stem.
 
     With ``format=None`` the suffix chooses the format: ``.tsv`` or
     ``.jsonl``, case-insensitive; any other suffix raises ``IngestError``.
@@ -217,7 +216,7 @@ def ingest(
         )
     if malformed:
         logger.warning("%s: skipped %d malformed rows", path, malformed)
-    return Corpus(pairs, name or path.stem)
+    return Corpus(pairs, path.stem)
 
 
 def _optional_text(obj: dict, key: str) -> Optional[str]:

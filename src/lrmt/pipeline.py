@@ -101,18 +101,15 @@ def stopword_ratio(text: str, stopwords: frozenset[str]) -> float:
     return sum(1 for t in tokens if t in stopwords) / len(tokens)
 
 
-def detect_swapped_rows(
-    corpus: Corpus, reference_stopwords: Optional[frozenset[str]] = None
-) -> list[str]:
+def detect_swapped_rows(corpus: Corpus) -> list[str]:
     """Ids of pairs whose columns look reversed.
 
     A pair is flagged when the target side beats the source side on
-    stopword-hit ratio while the source side itself looks non-English
+    stopword-hit ratio, measured against the bundled English list
+    (:func:`load_stopwords`), while the source side itself looks non-English
     (ratio below 0.05). Detection only; repair is :func:`swap_rows`.
     """
-    stopwords = reference_stopwords if reference_stopwords is not None else load_stopwords()
-    if not stopwords:
-        raise ValidationError("reference stopword set is empty")
+    stopwords = load_stopwords()
     flagged = []
     for pair in corpus:
         src_ratio = stopword_ratio(pair.source_text, stopwords)
@@ -259,16 +256,6 @@ class OverlapReport:
             ensure_ascii=False,
             indent=2,
         )
-
-    def render(self) -> str:
-        lines = [f"checked {self.checked_pairs} train/eval pair combinations"]
-        if self.passed:
-            lines.append("no overlap found")
-        else:
-            lines.append(f"{len(self.collisions)} collisions:")
-            for t, e, s in self.collisions:
-                lines.append(f"  {t} <-> {e}: {s!r}")
-        return "\n".join(lines)
 
 
 def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:

@@ -26,6 +26,7 @@ from .errors import ProviderError, ValidationError
 from .pipeline import hash_sorted
 
 MAX_EMBED_BATCH = 512  # server-side request cap
+MAX_ATTEMPTS = 3  # per embed request, transient failures included
 
 
 @dataclass(frozen=True)
@@ -53,23 +54,14 @@ class ScorePopulation:
         object.__setattr__(self, "std", math.sqrt(var))
 
 
-@dataclass(frozen=True)
-class RetentionCurve:
-    """(threshold, retained fraction) points; fractions never increase."""
+def retention_curve(
+    scores: Sequence[float], thresholds: Sequence[float]
+) -> tuple[tuple[float, float], ...]:
+    """(t, fraction of scores >= t) for each threshold t, in order.
 
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        fracs = [f for _, f in self.points]
-        if any(b > a for a, b in zip(fracs, fracs[1:])):
-            raise ValidationError("retention fractions must be nonincreasing")
-        for _, f in self.points:
-            if not 0.0 <= f <= 1.0:
-                raise ValidationError(f"retained fraction {f} outside [0, 1]")
-
-
-def retention_curve(scores: Sequence[float], thresholds: Sequence[float]) -> RetentionCurve:
-    """Fraction of scores >= t (inclusive) for each threshold."""
+    Thresholds must ascend and be NaN-free, so the fractions lie in [0, 1]
+    and never increase along the curve.
+    """
     if not scores:
         raise ValidationError("retention_curve needs at least one score")
     if any(map(math.isnan, chain(scores, thresholds))):
@@ -78,8 +70,7 @@ def retention_curve(scores: Sequence[float], thresholds: Sequence[float]) -> Ret
         raise ValidationError("thresholds must be sorted ascending")
     ordered = sorted(scores)
     n = len(ordered)
-    points = tuple((float(t), (n - bisect_left(ordered, t)) / n) for t in thresholds)
-    return RetentionCurve(points=points)
+    return tuple((float(t), (n - bisect_left(ordered, t)) / n) for t in thresholds)
 
 
 def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpus]:
@@ -191,7 +182,7 @@ def analysis_report(
         "std_kind": "population",
         "retention_bound": "inclusive",
         "curve": [
-            {"threshold": t, "retained_fraction": f} for t, f in curve.points
+            {"threshold": t, "retained_fraction": f} for t, f in curve
         ],
         "histogram_path": histogram_path,
     }
@@ -199,13 +190,26 @@ def analysis_report(
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:
     """Cosine similarity with correctly rounded sums, clamped into [-1, 1]
-    against rounding spill."""
+    against rounding spill. A zero vector scores 0.0.
+
+    Raises ProviderError on a width mismatch, and when a squared norm or the
+    dot product overflows, or a nonzero vector's squared norm underflows to
+    0: floats then cannot give the cosine, and the clamp would turn the NaN
+    into -1.
+    """
     if len(u) != len(v):
         raise ProviderError(f"embedding dimension mismatch: {len(u)} vs {len(v)}")
-    denom = math.sqrt(math.fsum(x * x for x in u)) * math.sqrt(math.fsum(y * y for y in v))
-    if denom == 0.0:
+    try:
+        uu, vv, dot = (math.fsum(map(operator.mul, a, b)) for a, b in ((u, u), (v, v), (u, v)))
+    except (OverflowError, ValueError) as exc:  # fsum's overflow and inf - inf
+        raise ProviderError(f"embedding vectors overflow the cosine: {exc}") from exc
+    if not (math.isfinite(uu) and math.isfinite(vv) and math.isfinite(dot)):
+        raise ProviderError("embedding vectors overflow the cosine")
+    if (uu == 0.0 and any(u)) or (vv == 0.0 and any(v)):
+        raise ProviderError("embedding vector too small: its squared norm underflows to 0")
+    if uu == 0.0 or vv == 0.0:
         return 0.0
-    return min(1.0, max(-1.0, math.fsum(map(operator.mul, u, v)) / denom))
+    return min(1.0, max(-1.0, dot / (math.sqrt(uu) * math.sqrt(vv))))
 
 
 class EmbeddingClient:
@@ -213,24 +217,26 @@ class EmbeddingClient:
     {"texts": [...]} -> {"vectors": [[...]], "dim": n, "model_id": str}.
 
     Transport errors and 5xx, 408 and 429 responses are retried with
-    exponential backoff. Any other 4xx means the request itself is wrong and
-    fails after one attempt, and a 2xx body that is not JSON or breaks the
-    contract fails fast; all of these raise ProviderError.
+    exponential backoff, up to MAX_ATTEMPTS attempts per request. Any other
+    4xx means the request itself is wrong and fails after one attempt, and a
+    2xx body that is not JSON or breaks the contract fails fast; all of these
+    raise ProviderError. `timeout` is in seconds, per attempt.
     """
 
     def __init__(
         self,
         base_url: str,
         timeout: float = 30.0,
-        max_attempts: int = 3,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         # urllib would also open file:// and ftp:// URLs; the service speaks HTTP only
         if not base_url.startswith(("http://", "https://")):
             raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
+        # the socket rejects a negative, NaN or infinite timeout only on first use; 0 is non-blocking
+        if not 0.0 < timeout < math.inf:
+            raise ValidationError(f"embedding timeout must be finite seconds > 0, got {timeout!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.max_attempts = max_attempts
         self._sleep = sleep
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
@@ -241,8 +247,7 @@ class EmbeddingClient:
         data = json.dumps({"texts": list(texts)}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         request = urllib.request.Request(f"{self.base_url}/embed", data, headers)
-        last_error = "no attempt made"
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._sleep(1.0 * 2 ** (attempt - 1))
             try:
@@ -263,7 +268,7 @@ class EmbeddingClient:
                 raise ProviderError(f"embed response is not JSON: {exc}") from exc
             return self._parse(body, len(texts))
         raise ProviderError(
-            f"embedding service unreachable after {self.max_attempts} attempts: {last_error}"
+            f"embedding service unreachable after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     @staticmethod
@@ -302,34 +307,33 @@ def score_pairs(
     corpus: Corpus,
     embedder: EmbeddingClient,
     batch_size: int = 128,
-    force: bool = False,
 ) -> Corpus:
-    """Attach cosine(source embedding, target embedding) to every pair.
+    """Attach cosine(source embedding, target embedding) to every unscored pair.
 
-    Already-scored pairs are skipped unless force is set, which makes a rerun
-    after a partial failure resume where it stopped. On provider failure the
-    raised ScoringError carries the partially scored corpus for persisting.
+    A pair that already has a score keeps it and is never sent, so a rerun
+    after a partial failure resumes where it stopped. On provider failure the
+    raised ScoringError carries the partially scored corpus for persisting,
+    with the ProviderError as its cause.
     """
     if not 1 <= batch_size <= MAX_EMBED_BATCH:
         raise ValidationError(f"batch_size {batch_size} outside 1..{MAX_EMBED_BATCH}")
     scored: dict[str, float] = {}
-    todo = [p for p in corpus if force or p.score is None]
-
-    def result(error: Optional[str] = None) -> Corpus:
-        pairs = [replace(p, score=scored[p.id]) if p.id in scored else p for p in corpus]
-        out = replace(corpus, pairs=pairs)
-        if error is not None:
-            raise ScoringError(error, partial=out)
-        return out
-
+    todo = [p for p in corpus if p.score is None]
+    error: Optional[ProviderError] = None
     for start in range(0, len(todo), batch_size):
         batch = todo[start : start + batch_size]
         try:
             src_vecs = embedder.embed([p.source_text for p in batch])
             tgt_vecs = embedder.embed([p.target_text for p in batch])
-            # cosine raises ProviderError on a width mismatch, at the batch's first pair
-            for pair, u, v in zip(batch, src_vecs, tgt_vecs):
-                scored[pair.id] = cosine(u, v)
+            # cosine raises ProviderError on a width mismatch or an overflow; the
+            # batch then keeps no score, so the error names its first pair
+            scored.update({pair.id: cosine(u, v) for pair, u, v in zip(batch, src_vecs, tgt_vecs)})
         except ProviderError as exc:
-            return result(error=f"scoring stopped at pair {batch[0].id}: {exc}")
-    return result()
+            error = exc
+            break
+    pairs = [replace(p, score=scored[p.id]) if p.id in scored else p for p in corpus]
+    out = replace(corpus, pairs=pairs)
+    if error is not None:
+        message = f"scoring stopped at pair {batch[0].id}: {error}"
+        raise ScoringError(message, partial=out) from error
+    return out

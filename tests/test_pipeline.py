@@ -179,10 +179,6 @@ class TestSwapDetection:
         sw = load_stopwords()
         assert stopword_ratio("The, cat!", sw) == pytest.approx(1 / 2)
 
-    def test_empty_stopwords_rejected(self):
-        with pytest.raises(ValidationError):
-            detect_swapped_rows(corpus_of(1), frozenset())
-
     def test_shipped_list_shape(self):
         sw = load_stopwords()
         assert len(sw) == 50
@@ -414,7 +410,6 @@ class TestVerifyOverlap:
     def test_json_and_text_rendering(self):
         report = OverlapReport(checked_pairs=2, collisions=(("a:1", "b:2", "text here"),))
         assert '"passed": false' in report.to_json()
-        assert "a:1 <-> b:2" in report.render()
 
 
 class TestFlipConcat:

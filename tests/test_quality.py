@@ -16,6 +16,7 @@ from lrmt.quality import (
     EmbeddingClient,
     ScorePopulation,
     ScoringError,
+    analysis_report,
     cosine,
     filter_by_threshold,
     histogram_csv,
@@ -101,6 +102,26 @@ class TestCosine:
         with pytest.raises(ProviderError):
             cosine([1.0, 0.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [
+            ([1e200, 1.0], [1e200, 1.0]),  # x * x is inf; the clamp used to turn NaN into -1
+            ([1e154, 1e154], [1e154, 1e154]),  # finite squares whose sum overflows
+            ([1e200, 1e200], [1e200, -1e200]),  # the dot product adds inf and -inf
+        ],
+        ids=["square-inf", "sum-overflow", "dot-inf-minus-inf"],
+    )
+    def test_overflow_raises(self, u, v):
+        with pytest.raises(ProviderError, match="overflow"):
+            cosine(u, v)
+
+    def test_underflowing_norm_raises(self):
+        # 1e-200 squared is 0.0, which used to read as a zero vector
+        with pytest.raises(ProviderError, match="underflows"):
+            cosine([1e-200], [1e-200])
+        with pytest.raises(ProviderError, match="underflows"):
+            cosine([0.5, 1.0], [1e-200, 0.0])
+
 
 class TestHistogram:
     @pytest.mark.parametrize("bins", [1, 7, 50])
@@ -159,7 +180,7 @@ class TestRetentionCurve:
             scores = _grid_scores(rng, n)
             thresholds = sorted({rng.randrange(-9, 10) / 8 for _ in range(12)} | {0.3, -1.0, 1.0})
             curve = retention_curve(scores, thresholds)
-            assert curve.points == tuple(
+            assert curve == tuple(
                 (t, sum(1 for s in scores if s >= t) / n) for t in thresholds
             )
 
@@ -169,6 +190,30 @@ class TestRetentionCurve:
     def test_rejects(self, scores, thresholds):
         with pytest.raises(ValidationError):
             retention_curve(scores, thresholds)
+
+
+class TestAnalysisReport:
+    def test_matches_brute_force(self):
+        rng = random.Random(18)
+        for n in (1, 2, 33, 500):
+            scores = _grid_scores(rng, n)
+            thresholds = sorted({rng.randrange(-9, 10) / 8 for _ in range(6)})
+            report = analysis_report(scores, thresholds, histogram_path="h.csv")
+            assert report["n"] == n
+            assert math.isclose(report["mean"], statistics.fmean(scores), rel_tol=1e-12, abs_tol=1e-15)
+            assert math.isclose(report["std"], statistics.pstdev(scores), rel_tol=1e-12, abs_tol=1e-15)
+            assert report["curve"] == [
+                {"threshold": t, "retained_fraction": sum(1 for s in scores if s >= t) / n}
+                for t in thresholds
+            ]
+            assert (report["std_kind"], report["retention_bound"]) == ("population", "inclusive")
+            assert report["histogram_path"] == "h.csv"
+            json.dumps(report)
+
+    @pytest.mark.parametrize("scores, thresholds", [([], [0.0]), ([0.5], [math.nan])])
+    def test_rejects(self, scores, thresholds):
+        with pytest.raises(ValidationError):
+            analysis_report(scores, thresholds)
 
 
 def _scored_pool(rng, n):
@@ -394,6 +439,13 @@ class TestEmbeddingClient:
         with pytest.raises(ValidationError):
             EmbeddingClient(url)
 
+    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0])
+    def test_timeout_not_finite_positive(self, timeout):
+        # the socket raises ValueError or OverflowError for the first three,
+        # and 0 makes it non-blocking, so every attempt fails
+        with pytest.raises(ValidationError, match="timeout"):
+            EmbeddingClient("http://127.0.0.1:8000", timeout=timeout)
+
     def test_unreachable(self, serve):
         server, client = serve((200, None))
         server.shutdown()
@@ -410,6 +462,8 @@ class TestEmbeddingClient:
         server, client = serve((200, None), (200, None), (503, b""))
         with pytest.raises(ScoringError) as info:
             score_pairs(Corpus(pairs), client, batch_size=2)
+        cause = info.value.__cause__ or info.value.__context__
+        assert type(cause) is ProviderError and "after 3 attempts" in str(cause)
         partial = {p.id: p.score for p in info.value.partial}
         assert partial == {
             p.id: (cosine(_vector(p.source_text), _vector(p.target_text)) if i < 2 else None)
@@ -423,3 +477,11 @@ class TestEmbeddingClient:
         with pytest.raises(ScoringError, match="dimension mismatch: 2 vs 3") as info:
             score_pairs(Corpus([pair]), client)
         assert [p.score for p in info.value.partial] == [None]
+
+    def test_score_pairs_overflow_keeps_no_score_of_its_batch(self, serve):
+        pairs = [SentencePair(f"p{i}", "a", "b", ENG_LATN, TRP_LATN, SMOLSENT) for i in range(2)]
+        body = b'{"vectors": [[1.0, 2.0], [1e200, 1.0]], "dim": 2}'
+        server, client = serve((200, body))
+        with pytest.raises(ScoringError, match="stopped at pair p0: .*overflow") as info:
+            score_pairs(Corpus(pairs), client)
+        assert [p.score for p in info.value.partial] == [None, None]
