@@ -26,7 +26,7 @@ from .errors import ProviderError, ValidationError
 from .pipeline import hash_sorted
 
 MAX_EMBED_BATCH = 512  # server-side request cap
-MAX_ATTEMPTS = 3  # per embed request, transient failures included
+MAX_ATTEMPTS = 3  # tries per embed request before a transient failure is final
 
 
 @dataclass(frozen=True)
