@@ -7,6 +7,7 @@ from typing import Mapping, Sequence
 
 from ..errors import ValidationError
 from ._kernels import (
+    LevState,
     levenshtein_masks,
     levenshtein_prefix_states,
     levenshtein_resume,
@@ -29,49 +30,20 @@ def _shift_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     return max(len(hyp), len(ref)) - sum((Counter(hyp) & Counter(ref)).values())
 
 
-def _best_shift(
-    current: list[str], ref_masks: Mapping[str, int], ref_len: int, base: int, floor: int
+def _scan(
+    current: list[str],
+    ref_masks: Mapping[str, int],
+    ref_len: int,
+    states: list[LevState],
+    starts: list[int],
+    best_dist: int,
+    floor: int,
 ):
-    """The single block move that reduces edit distance the most.
-
-    Every contiguous block up to the size cap is tried at every landing
-    position within the distance cap; ties keep the first candidate in scan
-    order (block size, then source, then destination), so the search is
-    deterministic. Returns (new_hyp, new_dist) or None when nothing strictly
-    improves.
-
-    Each move swaps two adjacent blocks. Four shortcuts make the search
-    cheaper and leave the result exact (Snover et al. 2006; Post 2018):
-
-    1. Moving `current[i:i+size]` left to `k` gives the same sequence as
-       moving `current[k:i]` right by `size`. When `i - k <= size`, that
-       twin is a smaller block, or one of the same size from an earlier
-       source, so the scan has already scored it; likewise a right move by
-       fewer than `size` tokens is the left move of the shorter block it
-       passes. These repeats are skipped: only a strictly lower distance
-       replaces the best, so a repeat could never win. (The twin moves a
-       block of at most MAX_SHIFT_SIZE by at most MAX_SHIFT_SIZE <=
-       MAX_SHIFT_DIST, so both caps admit it.)
-    2. A candidate shares its first `min(i, k)` tokens with `current`, so
-       the DP resumes from the state after that prefix, computed once per
-       call.
-    3. DP values never decrease along a diagonal (Ukkonen 1985), so the
-       cell where the final cell's diagonal crosses the current row bounds a
-       candidate's distance from below; `levenshtein_resume` abandons the
-       candidate once that cell reaches `best_dist`, when it can no longer
-       be strictly lower. Every candidate resumed from `states[k]` reads the
-       last `n - k` tokens, so its starting cell, `resume_lower_bound`, is
-       known before its tail is built: it is computed once per `k`, and a
-       left move landing at `k`, or a right move from `i`, is skipped
-       without building a tail while that cell is already `>= best_dist`.
-    4. No candidate is below `floor` (`_shift_floor`), so the scan returns
-       as soon as one reaches it: no later candidate could replace it.
-    """
+    """One pass of `_best_shift`'s scan: the first candidate in scan order at
+    the least distance strictly below `best_dist`, returned as soon as one
+    reaches `floor`; None when no candidate is below `best_dist`."""
     best = None
-    best_dist = base
     n = len(current)
-    states = levenshtein_prefix_states(current, ref_masks, ref_len)
-    starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
             block = current[i : i + size]
@@ -99,6 +71,66 @@ def _best_shift(
     if best is None:
         return None
     return best, best_dist
+
+
+def _best_shift(
+    current: list[str], ref_masks: Mapping[str, int], ref_len: int, base: int, floor: int
+):
+    """The single block move that reduces edit distance the most.
+
+    Every contiguous block up to the size cap is tried at every landing
+    position within the distance cap; ties keep the first candidate in scan
+    order (block size, then source, then destination), so the search is
+    deterministic. Returns (new_hyp, new_dist) or None when nothing strictly
+    improves.
+
+    Each move swaps two adjacent blocks. Five shortcuts make the search
+    cheaper and leave the result exact (Snover et al. 2006; Post 2018):
+
+    1. Moving `current[i:i+size]` left to `k` gives the same sequence as
+       moving `current[k:i]` right by `size`. When `i - k <= size`, that
+       twin is a smaller block, or one of the same size from an earlier
+       source, so the scan has already scored it; likewise a right move by
+       fewer than `size` tokens is the left move of the shorter block it
+       passes. These repeats are skipped: only a strictly lower distance
+       replaces the best, so a repeat could never win. (The twin moves a
+       block of at most MAX_SHIFT_SIZE by at most MAX_SHIFT_SIZE <=
+       MAX_SHIFT_DIST, so both caps admit it.)
+    2. A candidate shares its first `min(i, k)` tokens with `current`, so
+       the DP resumes from the state after that prefix, computed once per
+       call.
+    3. DP values never decrease along a diagonal (Ukkonen 1985), so the
+       cell where the final cell's diagonal crosses the current row bounds a
+       candidate's distance from below; `levenshtein_resume` abandons the
+       candidate once that cell reaches `best_dist`, when it can no longer
+       be strictly lower. Every candidate resumed from `states[k]` reads the
+       last `n - k` tokens, so its starting cell, `resume_lower_bound`, is
+       known before its tail is built: it is computed once per `k`, and a
+       left move landing at `k`, or a right move from `i`, is skipped
+       without building a tail while that cell is already `>= best_dist`.
+    4. No candidate is below `floor` (`_shift_floor`), so the scan returns
+       as soon as one reaches it: no later candidate could replace it. The
+       second stage of shortcut 5 returns as soon as one reaches
+       `floor + 2`, for the same reason.
+    5. The scan runs in two stages. The first starts from the bound
+       `min(base, floor + 2)`, so it finds only shifts that end
+       `ter_sentence`'s loop, and shortcut 3 abandons the other candidates
+       sooner. Only when it finds none, and `floor + 2 < base`, does the
+       second scan start from `base`; by then no candidate is below
+       `floor + 2`. Both stages are the same scan under the same rule,
+       keeping a candidate only when it is strictly below the bound so far,
+       so each returns the first candidate in scan order at the least
+       distance below its start bound. A tighter start bound drops only
+       candidates at or above it, so the two stages return the same
+       (sequence, distance) as one scan from `base`.
+    """
+    n = len(current)
+    states = levenshtein_prefix_states(current, ref_masks, ref_len)
+    starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
+    found = _scan(current, ref_masks, ref_len, states, starts, min(base, floor + 2), floor)
+    if found is None and floor + 2 < base:
+        found = _scan(current, ref_masks, ref_len, states, starts, base, floor + 2)
+    return found
 
 
 def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, float]:

@@ -172,7 +172,12 @@ def analysis_report(
     thresholds: Sequence[float],
     histogram_path: Optional[str] = None,
 ) -> dict:
-    """JSON-ready summary: stats, retention curve, conventions used."""
+    """JSON-ready summary: stats, retention curve, conventions used.
+
+    `histogram_path` is only recorded, as the caller passes it: the report
+    writes no file. A caller that names a histogram writes it there itself,
+    for instance the text of `histogram_csv(scores)`.
+    """
     pop = ScorePopulation(scores)
     curve = retention_curve(scores, thresholds)
     return {

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -91,9 +92,19 @@ def best_shift(hyp, ref):
 
 
 def assert_same_best_shift(hyp, ref):
+    """Check _best_shift against the plain scan; return the plain scan's result."""
     ref_masks = match_masks(ref)
     base = levenshtein_masks(hyp, ref_masks, len(ref))
-    assert best_shift(hyp, ref) == reference_best_shift(hyp, ref_masks, len(ref), base), (hyp, ref)
+    expected = reference_best_shift(hyp, ref_masks, len(ref), base)
+    assert best_shift(hyp, ref) == expected, (hyp, ref)
+    return expected
+
+
+def count_stage(stages, hyp, ref, found):
+    """Tally a plain-scan result by the stage of _best_shift that finds it:
+    the first finds a distance <= floor + 1, the second one >= floor + 2."""
+    if found is not None:
+        stages["first" if found[1] <= _shift_floor(hyp, ref) + 1 else "second"] += 1
 
 
 def floorless_edits(hyp, ref):
@@ -112,20 +123,21 @@ def floorless_edits(hyp, ref):
     return shifts + dist
 
 
-def eval_long_pair(rng, n):
+def eval_long_pair(rng, n, moves):
     """A hyp/ref pair shaped like the benchmark's long segments: an n-token
-    reference of Zipf-weighted words, and a hypothesis made from it by one
-    block move, one substitution, one drop and one insertion."""
+    reference of Zipf-weighted words, and a hypothesis made from it by
+    `moves` block moves, one substitution, one drop and one insertion."""
     words = [f"w{r}" for r in range(60)]
     weights = [1 / (r + 1) for r in range(60)]
     ref = rng.choices(words, weights, k=n)
     hyp = list(ref)
-    size = rng.randint(2, 4)
-    start = rng.randrange(n - size + 1)
-    block = hyp[start : start + size]
-    del hyp[start : start + size]
-    dest = rng.choice([k for k in range(len(hyp) + 1) if k != start])
-    hyp[dest:dest] = block
+    for _ in range(moves):
+        size = rng.randint(2, 4)
+        start = rng.randrange(n - size + 1)
+        block = hyp[start : start + size]
+        del hyp[start : start + size]
+        dest = rng.choice([k for k in range(len(hyp) + 1) if k != start])
+        hyp[dest:dest] = block
     hyp[rng.randrange(len(hyp))] = rng.choice(words)
     del hyp[rng.randrange(len(hyp))]
     hyp.insert(rng.randrange(len(hyp) + 1), rng.choice(words))
@@ -184,11 +196,13 @@ class TestTerSentence:
         # tiny vocabularies make ties common, so a changed tie-break shows;
         # past 10 tokens MAX_SHIFT_SIZE limits the blocks
         rng = random.Random(50)
+        stages = Counter()
         for _ in range(80):
             vocab = "abcd"[: rng.randrange(1, 5)]
             hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 21))]
             ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 21))]
-            assert_same_best_shift(hyp, ref)
+            count_stage(stages, hyp, ref, assert_same_best_shift(hyp, ref))
+        assert stages["first"] > 0 and stages["second"] > 0, stages
 
     def test_best_shift_matches_plain_scan_on_permutations(self):
         # distinct tokens: every block of a 6-token hyp at every landing
@@ -227,6 +241,17 @@ class TestTerSentence:
         assert best_shift(hyp, ref) is None
         assert ter_sentence(toks(*hyp), toks(*ref)) == (2, 2 / 3)
 
+    def test_second_stage(self):
+        # floor 0, base 4: one shift fixes one transposition and reaches 2,
+        # above floor + 1, so only the second stage finds it
+        hyp, ref = list("bacdefhg"), list("abcdefgh")
+        assert _shift_floor(hyp, ref) == 0
+        assert levenshtein_masks(hyp, match_masks(ref), len(ref)) == 4
+        expected = (list("abcdefhg"), 2)
+        assert reference_best_shift(hyp, match_masks(ref), len(ref), 4) == expected
+        assert best_shift(hyp, ref) == expected
+        assert ter_sentence(toks(*hyp), toks(*ref)) == (2, 0.25)
+
     def test_matches_floorless_loop(self):
         # tiny vocabularies make ties common, so a different first winner
         # among equal shifts would show in later shifts' counts
@@ -240,13 +265,17 @@ class TestTerSentence:
 
     def test_long_segments_match_plain_scan(self):
         # the lengths where the diagonal bound and the start-column skip
-        # prune most; the cases above stay under 13 tokens
+        # prune most; the cases above stay under 13 tokens. One block move
+        # is fixed within one edit of the floor, two usually are not.
         rng = random.Random(54)
+        stages = Counter()
         for n in (16, 23, 30):
-            hyp, ref = eval_long_pair(rng, n)
-            assert_same_best_shift(hyp, ref)
-            edits, _ = ter_sentence(toks(*hyp), toks(*ref))
-            assert edits == floorless_edits(hyp, ref), (hyp, ref)
+            for moves in (1, 2):
+                hyp, ref = eval_long_pair(rng, n, moves)
+                count_stage(stages, hyp, ref, assert_same_best_shift(hyp, ref))
+                edits, _ = ter_sentence(toks(*hyp), toks(*ref))
+                assert edits == floorless_edits(hyp, ref), (hyp, ref)
+        assert stages["first"] > 0 and stages["second"] > 0, stages
 
     def test_empty_ref_rejected(self):
         with pytest.raises(ValidationError):
