@@ -265,8 +265,8 @@ class TestTerSentence:
 
     def test_long_segments_match_plain_scan(self):
         # the lengths where the diagonal bound and the start-column skip
-        # prune most; the cases above stay under 13 tokens. One block move
-        # is fixed within one edit of the floor, two usually are not.
+        # prune most; the cases above stay under 13 tokens. A shift usually
+        # fixes one block move to within one edit of the floor, but not two.
         rng = random.Random(54)
         stages = Counter()
         for n in (16, 23, 30):
