@@ -185,6 +185,9 @@ def ingest(
         raise IngestError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    # a leading byte-order mark is not text; decoding it as utf-8-sig instead
+    # would shift the byte offset reported above
+    text = text.removeprefix("\ufeff")
 
     lines = text.split("\n")
     if lines and lines[-1] == "":

@@ -11,12 +11,7 @@ from .bleu import (  # noqa: F401
     sentence_stats,
 )
 from .chrf import chrf  # noqa: F401
-from .meteor import (  # noqa: F401
-    load_stem_table,
-    load_synonym_table,
-    meteor_corpus,
-    meteor_sentence,
-)
+from .meteor import meteor_corpus, meteor_sentence  # noqa: F401
 from .report import MetricReport, evaluate_corpus  # noqa: F401
 from .rouge import rouge_l_corpus, rouge_l_sentence  # noqa: F401
 from .ter import ter_corpus, ter_sentence  # noqa: F401

@@ -1,83 +1,22 @@
-"""Staged-alignment metric: exact, stem-table, synonym-table matching with a
-fragmentation penalty.
-
-Stem and synonym stages run only when tables are supplied; the tables are
-plain-text sidecar files, so any language can be plugged in without code
-changes.
-"""
+"""Exact-match alignment metric with a fragmentation penalty (METEOR's exact
+stage; Banerjee & Lavie 2005)."""
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Mapping, Optional
-
-from ..errors import IngestError, ValidationError
 from .tokenizer import TokenizedSentence, check_parallel
 
-StemTable = Mapping[str, str]
-SynonymTable = Mapping[str, frozenset]
 
-
-def _table_lines(path: str | Path) -> list[str]:
-    """The stripped lines of a table file, less blank lines and #-comments."""
-    try:
-        text = Path(path).read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestError(f"{path}: cannot read table: {exc}") from exc
-    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
-
-
-def load_stem_table(path: str | Path) -> dict[str, str]:
-    """Lines of "word stem"; blank lines and #-comments ignored."""
-    table: dict[str, str] = {}
-    for ln in _table_lines(path):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValidationError(f"bad stem line {ln!r}: expected 'word stem'")
-        table[parts[0]] = parts[1]
-    return table
-
-
-def load_synonym_table(path: str | Path) -> dict[str, frozenset]:
-    """Lines of "word syn1 syn2 ..."; blank lines and #-comments ignored."""
-    table: dict[str, frozenset] = {}
-    for ln in _table_lines(path):
-        parts = ln.split()
-        if len(parts) < 2:
-            raise ValidationError(f"bad synonym line {ln!r}: expected 'word syn...'")
-        table[parts[0]] = frozenset(parts[1:])
-    return table
-
-
-def _align(
-    hyp: tuple[str, ...],
-    ref: tuple[str, ...],
-    stem_table: Optional[StemTable],
-    synonym_table: Optional[SynonymTable],
-) -> list[tuple[int, int]]:
-    """Greedy left-to-right unique alignment, one stage at a time."""
-    stages = [lambda h, r: h == r]
-    if stem_table is not None:
-        stages.append(lambda h, r: stem_table.get(h, h) == stem_table.get(r, r))
-    if synonym_table is not None:
-        stages.append(
-            lambda h, r: r in synonym_table.get(h, frozenset())
-            or h in synonym_table.get(r, frozenset())
-        )
-    hyp_free = [True] * len(hyp)
-    ref_free = [True] * len(ref)
+def _align(hyp: tuple[str, ...], ref: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Greedy left-to-right unique alignment: each hypothesis token, in order,
+    takes the first unmatched equal reference token. Sorted by hyp index."""
+    unmatched: dict[str, list[int]] = {}
+    for j in reversed(range(len(ref))):
+        unmatched.setdefault(ref[j], []).append(j)
     matches: list[tuple[int, int]] = []
-    for stage in stages:
-        for i, h in enumerate(hyp):
-            if not hyp_free[i]:
-                continue
-            for j, r in enumerate(ref):
-                if ref_free[j] and stage(h, r):
-                    hyp_free[i] = False
-                    ref_free[j] = False
-                    matches.append((i, j))
-                    break
-    matches.sort()
+    for i, h in enumerate(hyp):
+        free = unmatched.get(h)
+        if free:
+            matches.append((i, free.pop()))
     return matches
 
 
@@ -92,13 +31,8 @@ def _chunks(matches: list[tuple[int, int]]) -> int:
     return count
 
 
-def meteor_sentence(
-    hyp: TokenizedSentence,
-    ref: TokenizedSentence,
-    stem_table: Optional[StemTable] = None,
-    synonym_table: Optional[SynonymTable] = None,
-) -> float:
-    matches = _align(hyp.tokens, ref.tokens, stem_table, synonym_table)
+def meteor_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
+    matches = _align(hyp.tokens, ref.tokens)
     m = len(matches)
     if m == 0:
         return 0.0
@@ -109,14 +43,7 @@ def meteor_sentence(
     return f_mean * (1.0 - penalty)
 
 
-def meteor_corpus(
-    hyps: list[TokenizedSentence],
-    refs: list[TokenizedSentence],
-    stem_table: Optional[StemTable] = None,
-    synonym_table: Optional[SynonymTable] = None,
-) -> float:
+def meteor_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:
     """Unweighted mean of sentence scores."""
     check_parallel(hyps, refs)
-    return sum(
-        meteor_sentence(h, r, stem_table, synonym_table) for h, r in zip(hyps, refs)
-    ) / len(hyps)
+    return sum(meteor_sentence(h, r) for h, r in zip(hyps, refs)) / len(hyps)

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from ..errors import ValidationError
 from .bleu import SIGNATURE, bleu_from_stats, corpus_stats
 from .chrf import chrf
-from .meteor import SynonymTable, StemTable, meteor_corpus
+from .meteor import meteor_corpus
 from .rouge import rouge_l_corpus
 from .ter import ter_corpus
 from .tokenizer import check_parallel, tokenize_13a
@@ -61,11 +61,8 @@ def evaluate_corpus(
     refs: list[str],
     embedding_scores: Optional[Sequence[float]] = None,
     comet_scores: Optional[Sequence[float]] = None,
-    stem_table: Optional[StemTable] = None,
-    synonym_table: Optional[SynonymTable] = None,
 ) -> MetricReport:
-    """Every metric over one corpus. chrF runs at its default orders and beta,
-    because the report does not record chrF settings."""
+    """Every metric over one corpus."""
     check_parallel(hyps, refs)
     for name, scores in (("embedding", embedding_scores), ("comet", comet_scores)):
         if scores is None:
@@ -87,7 +84,7 @@ def evaluate_corpus(
         chrf=chrf(hyps, refs),
         ter=ter_rate * 100.0,
         rouge_l=rouge_l_corpus(hyp_tok, ref_tok),
-        meteor=meteor_corpus(hyp_tok, ref_tok, stem_table, synonym_table),
+        meteor=meteor_corpus(hyp_tok, ref_tok),
         signature=SIGNATURE,
         cos_sim=None if embedding_scores is None else _mean(embedding_scores),
         comet=None if comet_scores is None else _mean(comet_scores),

@@ -70,16 +70,13 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def filter_length(corpus: Corpus, min_words: int, max_words: int, side: str = "source") -> Corpus:
-    """Keep pairs whose chosen side has a word count in [min_words, max_words]."""
+def filter_length(corpus: Corpus, min_words: int, max_words: int) -> Corpus:
+    """Keep pairs whose source side has a word count in [min_words, max_words]."""
     if not 1 <= min_words <= max_words:
         raise ValidationError(f"need 1 <= min_words <= max_words, got {min_words}..{max_words}")
-    if side not in ("source", "target"):
-        raise ValidationError(f"side must be 'source' or 'target', got {side!r}")
     kept = []
     for pair in corpus:
-        n = word_count(pair.source_text if side == "source" else pair.target_text)
-        if min_words <= n <= max_words:
+        if min_words <= word_count(pair.source_text) <= max_words:
             kept.append(pair)
     return replace(corpus, pairs=kept)
 

@@ -26,6 +26,7 @@ from .errors import ProviderError, ValidationError
 from .pipeline import hash_sorted
 
 MAX_EMBED_BATCH = 512  # server-side request cap
+EMBED_BATCH = 128  # pairs per score_pairs batch: one source and one target request
 MAX_ATTEMPTS = 3  # tries per embed request before a transient failure is final
 
 
@@ -147,14 +148,12 @@ def stratified_sample(
     return StratifiedSample(bands=tuple(out), warnings=tuple(warnings))
 
 
-def histogram_csv(
-    scores: Sequence[float], bins: int = 50, low: float = -1.0, high: float = 1.0
-) -> str:
-    """CSV of (bin_low, bin_high, count) over equal-width bins."""
+def histogram_csv(scores: Sequence[float]) -> str:
+    """CSV of (bin_low, bin_high, count) over 50 equal-width bins on the score
+    range [-1, 1]."""
     if not scores:
         raise ValidationError("histogram needs at least one score")
-    if bins < 1 or not low < high:
-        raise ValidationError(f"histogram needs bins >= 1 and low < high, got {bins}, {low}, {high}")
+    bins, low, high = 50, -1.0, 1.0
     step = (high - low) / bins
     edges = [low + i * step for i in range(bins)] + [high]
     counts = [0] * bins
@@ -290,12 +289,17 @@ class EmbeddingClient:
         if not all(isinstance(row, list) for row in vectors):
             raise ProviderError("embed response vectors are not rows of numbers")
         widths = {len(row) for row in vectors}
-        if len(widths) != 1 or dim not in (None, *widths):
-            raise ProviderError(f"embed response row widths {sorted(widths)} disagree with dim={dim}")
+        # True == 1, so a bool dim would pass as width 1 without the type check
+        if len(widths) != 1 or (dim is not None and (type(dim) is not int or dim not in widths)):
+            raise ProviderError(f"embed response row widths {sorted(widths)} disagree with dim={dim!r}")
+        entries = list(chain.from_iterable(vectors))
+        # exact types: JSON true/false decode to bool, which would pass as 1.0/0.0
+        if not set(map(type, entries)) <= {int, float}:
+            raise ProviderError("embed response vectors are not rows of numbers")
         try:
-            if not all(map(math.isfinite, chain.from_iterable(vectors))):
+            if not all(map(math.isfinite, entries)):
                 raise ProviderError("embed response holds a non-finite vector entry")
-        except (TypeError, OverflowError) as exc:
+        except OverflowError as exc:  # an int too large for a float
             raise ProviderError(f"embed response vectors are not rows of numbers: {exc}") from exc
         return [list(map(float, row)) for row in vectors]
 
@@ -308,25 +312,20 @@ class ScoringError(ProviderError):
         self.partial = partial
 
 
-def score_pairs(
-    corpus: Corpus,
-    embedder: EmbeddingClient,
-    batch_size: int = 128,
-) -> Corpus:
-    """Attach cosine(source embedding, target embedding) to every unscored pair.
+def score_pairs(corpus: Corpus, embedder: EmbeddingClient) -> Corpus:
+    """Attach cosine(source embedding, target embedding) to every unscored pair,
+    EMBED_BATCH pairs at a time.
 
     A pair that already has a score keeps it and is never sent, so a rerun
     after a partial failure resumes where it stopped. On provider failure the
     raised ScoringError carries the partially scored corpus for persisting,
     with the ProviderError as its cause.
     """
-    if not 1 <= batch_size <= MAX_EMBED_BATCH:
-        raise ValidationError(f"batch_size {batch_size} outside 1..{MAX_EMBED_BATCH}")
     scored: dict[str, float] = {}
     todo = [p for p in corpus if p.score is None]
     error: Optional[ProviderError] = None
-    for start in range(0, len(todo), batch_size):
-        batch = todo[start : start + batch_size]
+    for start in range(0, len(todo), EMBED_BATCH):
+        batch = todo[start : start + EMBED_BATCH]
         try:
             src_vecs = embedder.embed([p.source_text for p in batch])
             tgt_vecs = embedder.embed([p.target_text for p in batch])

@@ -1,18 +1,17 @@
-import math
 import random
 
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.chrf import chrf, chrf_stats
+from lrmt.metrics.chrf import CHAR_ORDER, chrf, chrf_stats
 
 
-def oracle_counts(hyps, refs, char_order=6):
+def oracle_counts(hyps, refs):
     """Per-order (matched, hyp total, ref total) over the corpus, by literal
     transcription of the definition: enumerate char n-grams by slicing lists
     and count matches with list.count."""
     per_order = []
-    for n in range(1, char_order + 1):
+    for n in range(1, CHAR_ORDER + 1):
         matched = hyp_total = ref_total = 0
         for hyp, ref in zip(hyps, refs):
             h = "".join(hyp.split())
@@ -27,15 +26,15 @@ def oracle_counts(hyps, refs, char_order=6):
     return per_order
 
 
-def oracle_chrf(hyps, refs, char_order=6, beta=2.0):
-    """Average F over the orders where either side has n-grams."""
+def oracle_chrf(hyps, refs):
+    """Average F2 = 5PR / (4P + R) over the orders where either side has n-grams."""
     f_values = []
-    for matched, hyp_total, ref_total in oracle_counts(hyps, refs, char_order):
+    for matched, hyp_total, ref_total in oracle_counts(hyps, refs):
         if hyp_total == 0 and ref_total == 0:
             continue
         p = matched / hyp_total if hyp_total else 0.0
         r = matched / ref_total if ref_total else 0.0
-        f = (1 + beta**2) * p * r / (beta**2 * p + r) if (beta**2 * p + r) > 0 else 0.0
+        f = 5 * p * r / (4 * p + r) if (4 * p + r) > 0 else 0.0
         f_values.append(f)
     if not f_values:
         return 0.0
@@ -64,35 +63,35 @@ def summed(segments):
 
 class TestChrfStats:
     def test_whitespace_removed(self):
-        assert chrf_stats("a b", "ab", 2) == ((2, 2, 2), (1, 1, 1))
+        assert chrf_stats("a b", "ab") == ((2, 2, 2), (1, 1, 1)) + ((0, 0, 0),) * 4
 
     def test_counts(self):
         # matches are clipped to the smaller count of each n-gram
-        assert chrf_stats("aaa", "aa", 3) == ((2, 3, 2), (1, 2, 1), (0, 1, 0))
+        assert chrf_stats("aaa", "aa") == ((2, 3, 2), (1, 2, 1), (0, 1, 0)) + ((0, 0, 0),) * 3
 
     def test_segments_shorter_than_order(self):
-        assert chrf_stats("ab", "abc", 6) == (
+        assert chrf_stats("ab", "abc") == (
             (2, 2, 3), (1, 1, 2), (0, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0)
         )
-        assert chrf_stats("", " \t\u3000", 2) == ((0, 0, 0), (0, 0, 0))
+        assert chrf_stats("", " \t\u3000") == ((0, 0, 0),) * 6
 
     def test_non_ascii_whitespace_removed(self):
-        assert chrf_stats("a\u00a0b\u3000c", "a b\tc\n", 3) == ((3, 3, 3), (2, 2, 2), (1, 1, 1))
+        assert chrf_stats("a\u00a0b\u3000c", "a b\tc\n") == ((3, 3, 3), (2, 2, 2), (1, 1, 1)) + ((0, 0, 0),) * 3
 
     def test_non_ascii_letters(self):
         # one code point each: é (precomposed) is not e, ক is one gram
-        assert chrf_stats("éক", "eক", 2) == ((1, 2, 2), (0, 1, 1))
+        assert chrf_stats("éক", "eক") == ((1, 2, 2), (0, 1, 1)) + ((0, 0, 0),) * 4
 
-    @pytest.mark.parametrize("char_order", range(1, 9))
-    def test_corpus_sums_equal_oracle_counts(self, char_order):
-        rng = random.Random(100 + char_order)
+    @pytest.mark.parametrize("batch", range(1, 9))
+    def test_corpus_sums_equal_oracle_counts(self, batch):
+        rng = random.Random(100 + batch)
         for _ in range(25):
             k = rng.randrange(1, 5)
             hyps = [mixed_text(rng) for _ in range(k)]
             refs = [mixed_text(rng) for _ in range(k)]
-            segments = [chrf_stats(h, r, char_order) for h, r in zip(hyps, refs)]
-            assert all(len(seg) == char_order for seg in segments)
-            assert summed(segments) == oracle_counts(hyps, refs, char_order)
+            segments = [chrf_stats(h, r) for h, r in zip(hyps, refs)]
+            assert all(len(seg) == CHAR_ORDER for seg in segments)
+            assert summed(segments) == oracle_counts(hyps, refs)
 
 
 class TestChrf:
@@ -111,30 +110,19 @@ class TestChrf:
 
     def test_matches_oracle_random(self):
         rng = random.Random(46)
-        for _ in range(60):
+        for text in [random_text] * 60 + [mixed_text] * 60:
             k = rng.randrange(1, 4)
-            hyps = [random_text(rng) for _ in range(k)]
-            refs = [random_text(rng) for _ in range(k)]
+            hyps = [text(rng) for _ in range(k)]
+            refs = [text(rng) for _ in range(k)]
             assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs))
 
-    @pytest.mark.parametrize("char_order", range(1, 9))
-    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
-    def test_matches_oracle_settings(self, char_order, beta):
-        rng = random.Random(char_order * 10 + int(beta * 2))
-        for _ in range(10):
-            k = rng.randrange(1, 5)
-            hyps = [mixed_text(rng) for _ in range(k)]
-            refs = [mixed_text(rng) for _ in range(k)]
-            assert chrf(hyps, refs, char_order, beta) == pytest.approx(
-                oracle_chrf(hyps, refs, char_order, beta)
-            )
-
     def test_beta_weighting_favors_recall(self):
-        # hyp covers ref fully but adds noise: recall 1, precision < 1.
-        # Larger beta should punish that less.
-        low = chrf(["abcdxyz"], ["abcd"], beta=1.0)
-        high = chrf(["abcdxyz"], ["abcd"], beta=3.0)
-        assert high > low
+        # beta 2: a hyp that covers the ref and adds noise (recall 1, precision
+        # 4/7 at order 1) outscores the same strings the other way round
+        noisy = chrf(["abcdxyz"], ["abcd"])
+        short = chrf(["abcd"], ["abcdxyz"])
+        assert noisy > short
+        assert noisy == pytest.approx(oracle_chrf(["abcdxyz"], ["abcd"]))
 
     def test_corpus_sums_before_f(self):
         # two sentences pooled is not the mean of their individual scores
@@ -146,7 +134,9 @@ class TestChrf:
         assert pooled == pytest.approx(oracle_chrf(hyps, refs))
 
     def test_shorter_char_order(self):
-        assert chrf(["ab"], ["ab"], char_order=2) == pytest.approx(100.0)
+        # a segment shorter than CHAR_ORDER: orders 3..6 have no n-grams on
+        # either side and are left out of the mean
+        assert chrf(["ab"], ["ab"]) == 100.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -155,16 +145,6 @@ class TestChrf:
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
             chrf([], [])
-
-    @pytest.mark.parametrize(
-        "char_order, beta",
-        [(0, 2.0), (-2, 2.0), (2.5, 2.0), (6, math.nan), (6, math.inf), (6, -math.inf), (6, -1.0)],
-        ids=["order-0", "order-negative", "order-float", "beta-nan", "beta-inf", "beta-neg-inf", "beta-negative"],
-    )
-    def test_rejects_bad_settings(self, char_order, beta):
-        # on identical text these used to give a plausible 0.0 or 100.0
-        with pytest.raises(ValidationError):
-            chrf(["hello world"], ["hello world"], char_order, beta)
 
     def test_range(self):
         rng = random.Random(47)

@@ -275,6 +275,13 @@ class TestIngestTsv:
         assert len(c) == 2
         assert c.pairs[1].target_text == "nwng"
 
+    def test_leading_bom_stripped(self, tmp_path):
+        p = tmp_path / "bom.tsv"
+        p.write_bytes("\ufeffhello\tbok\n\ufeffmid\tnwng\n".encode("utf-8"))
+        corpus = ingest(p, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
+        # only the mark that starts the file is stripped
+        assert [q.source_text for q in corpus] == ["hello", "\ufeffmid"]
+
     def test_bad_utf8_reports_offset(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_bytes(b"hello\tbok\nmor\xffning\tnwng\n")
@@ -332,6 +339,14 @@ class TestIngestJsonl:
         p = self.write_jsonl(tmp_path, [{"source": "hello", "target": "bok", "origin": "gatitos"}])
         c = ingest(p, "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
         assert c.pairs[0].id == "gatitos:0"
+
+    def test_leading_bom_stripped(self, tmp_path):
+        # with the mark left on, the first row was malformed: 1 of 5 is over 10%
+        p = tmp_path / "bom.jsonl"
+        rows = [json.dumps({"source": f"s {i}", "target": f"t {i}"}) for i in range(5)]
+        p.write_bytes(("\ufeff" + "\n".join(rows) + "\n").encode("utf-8"))
+        c = ingest(p, "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
+        assert [q.source_text for q in c] == [f"s {i}" for i in range(5)]
 
     def test_invalid_json_counts_malformed(self, tmp_path):
         p = tmp_path / "mix.jsonl"

@@ -1,12 +1,10 @@
+import random
+from collections import Counter
+
 import pytest
 
-from lrmt.errors import IngestError, ValidationError
-from lrmt.metrics.meteor import (
-    load_stem_table,
-    load_synonym_table,
-    meteor_corpus,
-    meteor_sentence,
-)
+from lrmt.errors import ValidationError
+from lrmt.metrics.meteor import _align, meteor_corpus, meteor_sentence
 from lrmt.metrics.tokenizer import TokenizedSentence
 
 
@@ -31,22 +29,6 @@ class TestMeteorSentence:
         # 1 match: P = 1/2, R = 1, F = 10PR / (R + 9P) = 10/11, one chunk
         assert meteor_sentence(toks("a x"), toks("a")) == pytest.approx(10 / 11 * 0.5)
 
-    def test_stem_stage_needs_its_table(self):
-        hyp, ref = toks("walked"), toks("walks")
-        stems = {"walked": "walk", "walks": "walk"}
-        assert meteor_sentence(hyp, ref) == 0.0
-        assert meteor_sentence(hyp, ref, synonym_table={"walked": frozenset({"strolled"})}) == 0.0
-        assert meteor_sentence(hyp, ref, stem_table=stems) == pytest.approx(0.5)
-
-    def test_synonym_stage_needs_its_table(self):
-        hyp, ref = toks("big"), toks("large")
-        synonyms = {"big": frozenset({"large"})}
-        assert meteor_sentence(hyp, ref) == 0.0
-        assert meteor_sentence(hyp, ref, stem_table={"big": "bigg"}) == 0.0
-        assert meteor_sentence(hyp, ref, synonym_table=synonyms) == pytest.approx(0.5)
-        # listed under either side's entry
-        assert meteor_sentence(ref, hyp, synonym_table=synonyms) == pytest.approx(0.5)
-
 
 class TestMeteorCorpus:
     def test_unweighted_mean(self):
@@ -63,41 +45,21 @@ class TestMeteorCorpus:
             meteor_corpus([], [])
 
 
-class TestTables:
-    def test_stem_table(self, tmp_path):
-        path = tmp_path / "stems.txt"
-        path.write_text("# word stem\n\nwalked walk\n  walks walk  \n", encoding="utf-8")
-        assert load_stem_table(path) == {"walked": "walk", "walks": "walk"}
-
-    @pytest.mark.parametrize("line", ["walked", "walked walk extra"])
-    def test_stem_table_bad_line(self, tmp_path, line):
-        path = tmp_path / "stems.txt"
-        path.write_text(f"walks walk\n{line}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="bad stem line"):
-            load_stem_table(path)
-
-    def test_synonym_table(self, tmp_path):
-        path = tmp_path / "syn.txt"
-        path.write_text("# word synonyms\nbig large huge\n\nsmall little\n", encoding="utf-8")
-        assert load_synonym_table(path) == {
-            "big": frozenset({"large", "huge"}),
-            "small": frozenset({"little"}),
-        }
-
-    def test_synonym_table_bad_line(self, tmp_path):
-        path = tmp_path / "syn.txt"
-        path.write_text("big large\nlonely\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="bad synonym line"):
-            load_synonym_table(path)
-
-    @pytest.mark.parametrize("load", [load_stem_table, load_synonym_table])
-    def test_missing_file(self, tmp_path, load):
-        with pytest.raises(IngestError, match="cannot read table"):
-            load(tmp_path / "absent.txt")
-
-    @pytest.mark.parametrize("load", [load_stem_table, load_synonym_table])
-    def test_not_utf8(self, tmp_path, load):
-        path = tmp_path / "latin1.txt"
-        path.write_bytes("café cafe\n".encode("latin-1"))
-        with pytest.raises(IngestError, match="cannot read table"):
-            load(path)
+class TestAlign:
+    def test_greedy_exact_alignment(self):
+        # seeded segments over small vocabularies, so most tokens repeat
+        rng = random.Random(53)
+        for _ in range(500):
+            vocab = "abcdefg"[: rng.randrange(1, 8)]
+            hyp = tuple(rng.choice(vocab) for _ in range(rng.randrange(13)))
+            ref = tuple(rng.choice(vocab) for _ in range(rng.randrange(13)))
+            matches = _align(hyp, ref)
+            assert len(matches) == sum((Counter(hyp) & Counter(ref)).values())
+            assert all(a[0] < b[0] for a, b in zip(matches, matches[1:]))
+            for token in set(hyp):
+                pairs = [(i, j) for i, j in matches if hyp[i] == token]
+                assert all(ref[j] == token for _, j in pairs)
+                # the first k occurrences on each side, in order: strictly increasing j
+                k = len(pairs)
+                assert [i for i, _ in pairs] == [i for i, h in enumerate(hyp) if h == token][:k]
+                assert [j for _, j in pairs] == [j for j, r in enumerate(ref) if r == token][:k]

@@ -133,13 +133,15 @@ class TestFilterLength:
             pair(2, src=" ".join(["w"] * 20)),
             pair(3, src=" ".join(["w"] * 21)),
         ]
-        out = filter_length(Corpus(pairs), 5, 20, side="source")
+        out = filter_length(Corpus(pairs), 5, 20)
         assert [p.id for p in out] == ["smoldoc:0", "smoldoc:2"]
 
     def test_target_side(self):
-        pairs = [pair(0, tgt="bo"), pair(1, tgt="bo kaisa nwng tamo chini")]
-        out = filter_length(Corpus(pairs), 5, 20, side="target")
-        assert [p.id for p in out] == ["smoldoc:1"]
+        # only the source side is measured: a 1-word or 25-word target is kept
+        short = "one two three four five"
+        pairs = [pair(0, src=short, tgt="bo"), pair(1, src=short, tgt=" ".join(["bo"] * 25))]
+        out = filter_length(Corpus(pairs), 5, 20)
+        assert [p.id for p in out] == ["smoldoc:0", "smoldoc:1"]
 
     def test_word_count_is_whitespace_runs(self):
         assert word_count("a  b\tc") == 3

@@ -13,6 +13,7 @@ from lrmt.corpus import ENG_LATN, SMOLSENT, TRP_LATN, Corpus, SentencePair
 from lrmt.errors import ProviderError, ValidationError
 from lrmt.pipeline import SplitEntry, SplitSpec, sample_key, split
 from lrmt.quality import (
+    EMBED_BATCH,
     EmbeddingClient,
     ScorePopulation,
     ScoringError,
@@ -48,6 +49,23 @@ class TestEmbeddingParse:
         with pytest.raises(ProviderError):
             EmbeddingClient._parse({"vectors": vectors}, len(vectors))
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_bool_entry(self, entry):
+        # JSON true/false used to pass as 1.0/0.0
+        with pytest.raises(ProviderError, match="not rows of numbers"):
+            EmbeddingClient._parse({"vectors": [[0.5, entry]], "dim": 2}, 1)
+
+    @pytest.mark.parametrize("dim", [True, 1.0, "1"])
+    def test_dim_not_an_int(self, dim):
+        # "dim": true used to pass as width 1, since True == 1
+        with pytest.raises(ProviderError, match="disagree with dim"):
+            EmbeddingClient._parse({"vectors": [[0.5]], "dim": dim}, 1)
+
+    def test_int_entries_and_null_dim(self):
+        assert EmbeddingClient._parse({"vectors": [[1, -2]], "dim": None}, 1) == [[1.0, -2.0]]
+        with pytest.raises(ProviderError, match="not rows of numbers"):
+            EmbeddingClient._parse({"vectors": [[10**400]]}, 1)
+
 
 # --- the numpy code these functions replaced, kept as their reference ---
 
@@ -60,11 +78,11 @@ def np_cosine(u, v):
     return float(min(1.0, max(-1.0, float(np.dot(u, v)) / denom)))
 
 
-def np_histogram_csv(scores, bins=50, low=-1.0, high=1.0):
-    edges = np.linspace(low, high, bins + 1)
+def np_histogram_csv(scores):
+    edges = np.linspace(-1.0, 1.0, 51)
     counts, _ = np.histogram(np.asarray(scores, dtype=np.float64), bins=edges)
     lines = ["bin_low,bin_high,count"]
-    for i in range(bins):
+    for i in range(50):
         lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{int(counts[i])}")
     return "\n".join(lines) + "\n"
 
@@ -124,26 +142,24 @@ class TestCosine:
 
 
 class TestHistogram:
-    @pytest.mark.parametrize("bins", [1, 7, 50])
-    def test_matches_numpy(self, bins):
-        rng = random.Random(bins)
-        for low, high in [(-1.0, 1.0), (0.0, 1.0), (-0.3, 0.7)]:
-            edges = np.linspace(low, high, bins + 1).tolist()
-            near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
-            spread = [rng.uniform(low - 0.2, high + 0.2) for _ in range(500)]
-            scores = spread + edges + near + [-1.0, 1.0]
-            rng.shuffle(scores)
-            assert histogram_csv(scores, bins, low, high) == np_histogram_csv(scores, bins, low, high)
+    @pytest.mark.parametrize("seed", [1, 7, 50])
+    def test_matches_numpy(self, seed):
+        rng = random.Random(seed)
+        edges = np.linspace(-1.0, 1.0, 51).tolist()
+        near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+        spread = [rng.uniform(-1.2, 1.2) for _ in range(1500)]
+        scores = spread + edges + near
+        rng.shuffle(scores)
+        assert histogram_csv(scores) == np_histogram_csv(scores)
 
     def test_out_of_range_and_non_finite_dropped(self):
-        out = histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25], bins=2)
-        assert out == np_histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25], bins=2)
-        assert out.endswith(",1\n")
+        out = histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25])
+        assert out == np_histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25])
+        assert out.count(",0\n") == 49
 
-    @pytest.mark.parametrize("bins, low, high", [(0, -1.0, 1.0), (-3, -1.0, 1.0), (5, 1.0, -1.0)])
-    def test_bad_arguments(self, bins, low, high):
-        with pytest.raises(ValidationError):
-            histogram_csv([0.5], bins, low, high)
+    def test_no_scores(self):
+        with pytest.raises(ValidationError, match="at least one score"):
+            histogram_csv([])
 
 
 def _grid_scores(rng, n):
@@ -456,17 +472,17 @@ class TestEmbeddingClient:
     def test_score_pairs_keeps_partial_progress(self, serve):
         pairs = [
             SentencePair(f"p{i}", "a" * (i + 1), "b" * (3 * i + 1), ENG_LATN, TRP_LATN, SMOLSENT)
-            for i in range(4)
+            for i in range(EMBED_BATCH + 2)
         ]
-        # batch 1 (source, target) succeeds; batch 2 fails on every attempt
+        # batch 1 (source, target) succeeds; batch 2, two pairs, fails on every attempt
         server, client = serve((200, None), (200, None), (503, b""))
-        with pytest.raises(ScoringError) as info:
-            score_pairs(Corpus(pairs), client, batch_size=2)
+        with pytest.raises(ScoringError, match=f"stopped at pair p{EMBED_BATCH}:") as info:
+            score_pairs(Corpus(pairs), client)
         cause = info.value.__cause__ or info.value.__context__
         assert type(cause) is ProviderError and "after 3 attempts" in str(cause)
         partial = {p.id: p.score for p in info.value.partial}
         assert partial == {
-            p.id: (cosine(_vector(p.source_text), _vector(p.target_text)) if i < 2 else None)
+            p.id: (cosine(_vector(p.source_text), _vector(p.target_text)) if i < EMBED_BATCH else None)
             for i, p in enumerate(pairs)
         }
         assert server.requests == 2 + 3

@@ -14,9 +14,13 @@ Options --extra-seed and --extra-pairs add pairs on one more seed, for each
 workload. The output is one JSON object:
 
 - "end_to_end": per "<workload> seed <seed>", the pair count, whether every
-  run passed its checks, the failed operations per side and, per end-to-end
-  metric, each side's runs with their median and quartiles
-  (statistics.quantiles, n=4), the pairs the change won and the ties;
+  run passed its checks, the failed operations per side, each side's run
+  start times (Unix seconds, in pair order) and, per end-to-end metric, each
+  side's runs with their median and quartiles (statistics.quantiles, n=4),
+  each pair's change / parent ratio with its median and quartiles, the pairs
+  the change won and the ties. The machine's speed can drift within a
+  series; the two runs of a pair are adjacent in time, so the ratios show a
+  difference that the per-side quartiles blur;
 - "per_layer_traced": per "<workload> seed <seed>", each side's per-layer
   metrics from its traced run.
 
@@ -35,6 +39,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -55,7 +60,9 @@ def export(rev: str, dest: Path) -> str:
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; its last output line, plus the run record's signature."""
+    """One benchmark run; its last output line, plus the run record's signature
+    and the run's start time."""
+    started = time.time()
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -67,6 +74,7 @@ def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     result = json.loads(lines[-1])
     record = root / ".bench_run" / f"{workload}-seed{seed}-trace{trace}.json"
     result["signature"] = json.loads(record.read_text())["signature"]
+    result["started"] = started
     return result
 
 
@@ -84,6 +92,7 @@ def compare(units: dict, per_side: dict, metric: str, better: str) -> dict:
         "better": better,
         "parent": summary(parent),
         "change": summary(change),
+        "ratio": summary([c / p for p, c in zip(parent, change)]),
         "change_wins": wins,
         "ties": sum(p == c for p, c in zip(parent, change)),
     }
@@ -102,6 +111,7 @@ def pairs(roots: dict, workload: str, seed: int, count: int, seconds: float) -> 
         "seconds": seconds,
         "correct": all(r["correct"] for side in SIDES for r in per_side[side]),
         "failed_ops": {side: sum(r["failed"] for r in per_side[side]) for side in SIDES},
+        "started": {side: [r["started"] for r in per_side[side]] for side in SIDES},
         "metrics": {m: compare(units, per_side, m, better) for m, better in END_TO_END.items()},
         "signature": per_side["change"][0]["signature"],
     }
@@ -152,7 +162,8 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": "python3 benchmarks/run.py --workload <w> --seed <seed> --seconds <s> --trace <t>",
         "protocol": "alternating pairs, parent first in odd pairs and change first in even pairs; "
-        "quartiles are statistics.quantiles(runs, n=4); a pair is won when the change reads better",
+        "quartiles are statistics.quantiles(runs, n=4); a pair is won when the change reads better; "
+        "a ratio is change / parent within one pair",
         "machine": {
             "platform": platform.platform(),
             "machine": platform.machine(),
