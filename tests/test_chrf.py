@@ -3,15 +3,15 @@ import random
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.chrf import CHAR_ORDER, chrf, chrf_stats
+from lrmt.metrics.chrf import BETA, CHAR_ORDER, chrf, chrf_stats
 
 
-def oracle_counts(hyps, refs):
+def oracle_counts(hyps, refs, char_order=CHAR_ORDER):
     """Per-order (matched, hyp total, ref total) over the corpus, by literal
     transcription of the definition: enumerate char n-grams by slicing lists
     and count matches with list.count."""
     per_order = []
-    for n in range(1, CHAR_ORDER + 1):
+    for n in range(1, char_order + 1):
         matched = hyp_total = ref_total = 0
         for hyp, ref in zip(hyps, refs):
             h = "".join(hyp.split())
@@ -26,15 +26,15 @@ def oracle_counts(hyps, refs):
     return per_order
 
 
-def oracle_chrf(hyps, refs):
-    """Average F2 = 5PR / (4P + R) over the orders where either side has n-grams."""
+def oracle_chrf(hyps, refs, char_order=CHAR_ORDER, beta=BETA):
+    """Average F over the orders where either side has n-grams."""
     f_values = []
-    for matched, hyp_total, ref_total in oracle_counts(hyps, refs):
+    for matched, hyp_total, ref_total in oracle_counts(hyps, refs, char_order):
         if hyp_total == 0 and ref_total == 0:
             continue
         p = matched / hyp_total if hyp_total else 0.0
         r = matched / ref_total if ref_total else 0.0
-        f = 5 * p * r / (4 * p + r) if (4 * p + r) > 0 else 0.0
+        f = (1 + beta**2) * p * r / (beta**2 * p + r) if (beta**2 * p + r) > 0 else 0.0
         f_values.append(f)
     if not f_values:
         return 0.0
@@ -115,6 +115,19 @@ class TestChrf:
             hyps = [text(rng) for _ in range(k)]
             refs = [text(rng) for _ in range(k)]
             assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs))
+
+    @pytest.mark.parametrize("char_order", range(1, CHAR_ORDER + 1))
+    @pytest.mark.parametrize("beta", [BETA])
+    def test_matches_oracle_settings(self, char_order, beta):
+        # segments of at most char_order characters have no n-grams above that
+        # order on either side, so those orders drop out of the mean and chrF2
+        # equals the oracle cut at char_order
+        rng = random.Random(char_order * 10 + int(beta * 2))
+        for _ in range(10):
+            k = rng.randrange(1, 5)
+            hyps = [mixed_text(rng, char_order + 1) for _ in range(k)]
+            refs = [mixed_text(rng, char_order + 1) for _ in range(k)]
+            assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs, char_order, beta))
 
     def test_beta_weighting_favors_recall(self):
         # beta 2: a hyp that covers the ref and adds noise (recall 1, precision

@@ -29,6 +29,22 @@ class TestMeteorSentence:
         # 1 match: P = 1/2, R = 1, F = 10PR / (R + 9P) = 10/11, one chunk
         assert meteor_sentence(toks("a x"), toks("a")) == pytest.approx(10 / 11 * 0.5)
 
+    def test_stem_stage_needs_its_table(self):
+        # only the exact stage is left and no stem table can be passed, so
+        # forms of one stem never match
+        hyp, ref = toks("walked"), toks("walks")
+        assert meteor_sentence(hyp, ref) == 0.0
+        with pytest.raises(TypeError):
+            meteor_sentence(hyp, ref, stem_table={"walked": "walk", "walks": "walk"})
+
+    def test_synonym_stage_needs_its_table(self):
+        # likewise for synonyms, in either direction
+        hyp, ref = toks("big"), toks("large")
+        assert meteor_sentence(hyp, ref) == 0.0
+        assert meteor_sentence(ref, hyp) == 0.0
+        with pytest.raises(TypeError):
+            meteor_sentence(hyp, ref, synonym_table={"big": frozenset({"large"})})
+
 
 class TestMeteorCorpus:
     def test_unweighted_mean(self):
