@@ -11,7 +11,6 @@ import json
 import logging
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
@@ -20,7 +19,7 @@ from .errors import IngestError, ValidationError
 
 logger = logging.getLogger(__name__)
 
-_LANG_TAG_RE = re.compile(r"^[a-z]{3}_[A-Z][a-z]{3}$")
+_LANG_TAG_RE = re.compile(r"[a-z]{3}_[A-Z][a-z]{3}")
 _WS_RE = re.compile(r"\s+")
 
 
@@ -31,7 +30,7 @@ class LanguageTag:
     code: str
 
     def __post_init__(self) -> None:
-        if not _LANG_TAG_RE.match(self.code):
+        if not _LANG_TAG_RE.fullmatch(self.code):
             raise ValidationError(
                 f"bad language tag {self.code!r}: expected 3 lowercase letters, "
                 "underscore, title-case 4-letter script (e.g. 'eng_Latn')"
@@ -48,8 +47,7 @@ TRP_LATN = LanguageTag("trp_Latn")
 @dataclass(frozen=True)
 class Origin:
     """Provenance label for a sentence pair: any non-empty label without
-    whitespace, case-folded. The paper's sources are module constants
-    (SMOLDOC, GATITOS, SMOLSENT, WMTBIBLE, SYNTHETIC)."""
+    whitespace, case-folded."""
 
     label: str
 
@@ -60,13 +58,6 @@ class Origin:
 
     def __str__(self) -> str:
         return self.label
-
-
-SMOLDOC = Origin("smoldoc")
-GATITOS = Origin("gatitos")
-SMOLSENT = Origin("smolsent")
-WMTBIBLE = Origin("wmtbible")
-SYNTHETIC = Origin("synthetic")
 
 
 def normalize_text(raw: str) -> str:
@@ -117,11 +108,6 @@ class Corpus:
             if pair.id in seen:
                 raise ValidationError(f"corpus {self.name!r}: duplicate pair id {pair.id!r}")
             seen.add(pair.id)
-
-    @property
-    def composition(self) -> Counter[Origin]:
-        """Pair count per origin, counted from the pairs on each call."""
-        return Counter(pair.origin for pair in self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)

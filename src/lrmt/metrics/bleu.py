@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .. import __version__
 from ..errors import ValidationError
-from .tokenizer import TokenizedSentence, check_parallel, ngram_stats, tokenize_13a
+from .tokenizer import TokenizedSentence, ngram_stats
 
 MAX_ORDER = 4
 
@@ -52,13 +51,6 @@ def sentence_stats(hyp: TokenizedSentence, ref: TokenizedSentence) -> BleuStats:
     return BleuStats(clipped=clipped, totals=totals, hyp_len=len(hyp), ref_len=len(ref))
 
 
-def corpus_stats(
-    hyps: Iterable[TokenizedSentence], refs: Iterable[TokenizedSentence]
-) -> BleuStats:
-    """Sentence statistics summed over a tokenized corpus."""
-    return sum(map(sentence_stats, hyps, refs), BleuStats.zero())
-
-
 def brevity_penalty(hyp_len: int, ref_len: int) -> float:
     if hyp_len == 0:
         return 0.0
@@ -94,10 +86,3 @@ def bleu_from_stats(stats: BleuStats) -> tuple[float, tuple[float, ...], float]:
     bp = brevity_penalty(stats.hyp_len, stats.ref_len)
     precisions = precisions_from_stats(stats)
     return compose_bleu(precisions, bp), precisions, bp
-
-
-def bleu_corpus(hyps: list[str], refs: list[str]) -> tuple[float, BleuStats, str]:
-    check_parallel(hyps, refs)
-    stats = corpus_stats(map(tokenize_13a, hyps), map(tokenize_13a, refs))
-    score, _, _ = bleu_from_stats(stats)
-    return score, stats, SIGNATURE

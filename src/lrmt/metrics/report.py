@@ -8,11 +8,11 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from ..errors import ValidationError
-from .bleu import SIGNATURE, bleu_from_stats, corpus_stats
+from .bleu import SIGNATURE, BleuStats, bleu_from_stats, sentence_stats
 from .chrf import chrf
 from .meteor import meteor_corpus
 from .rouge import rouge_l_corpus
-from .ter import ter_corpus
+from .ter import ter_sentence
 from .tokenizer import check_parallel, tokenize_13a
 
 
@@ -35,21 +35,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, allow_nan=False)
-
-    def render_markdown(self) -> str:
-        """One-row table in the standard column order; absent columns show an
-        em dash placeholder."""
-        def fmt(v, digits=2):
-            return "—" if v is None else f"{v:.{digits}f}"
-
-        header = "| BLEU | chrF | ROUGE-L | METEOR | TER | Cos Sim | COMET |"
-        rule = "|---|---|---|---|---|---|---|"
-        row = (
-            f"| {fmt(self.bleu)} | {fmt(self.chrf)} | {fmt(self.rouge_l, 3)} "
-            f"| {fmt(self.meteor, 3)} | {fmt(self.ter)} | {fmt(self.cos_sim, 3)} "
-            f"| {fmt(self.comet, 3)} |"
-        )
-        return "\n".join([header, rule, row])
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -74,15 +59,17 @@ def evaluate_corpus(
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]
-    bleu, precisions, bp = bleu_from_stats(corpus_stats(hyp_tok, ref_tok))
-    _, _, ter_rate = ter_corpus(hyp_tok, ref_tok)
+    stats = sum(map(sentence_stats, hyp_tok, ref_tok), BleuStats.zero())
+    bleu, precisions, bp = bleu_from_stats(stats)
+    edits = sum(ter_sentence(h, r)[0] for h, r in zip(hyp_tok, ref_tok))
+    ref_len = sum(map(len, ref_tok))
 
     return MetricReport(
         bleu=bleu,
         precisions=precisions,
         bp=bp,
         chrf=chrf(hyps, refs),
-        ter=ter_rate * 100.0,
+        ter=edits / ref_len * 100.0,
         rouge_l=rouge_l_corpus(hyp_tok, ref_tok),
         meteor=meteor_corpus(hyp_tok, ref_tok),
         signature=SIGNATURE,

@@ -14,7 +14,7 @@ from ._kernels import (
     match_masks,
     resume_lower_bound,
 )
-from .tokenizer import TokenizedSentence, check_parallel
+from .tokenizer import TokenizedSentence
 
 MAX_SHIFT_SIZE = 10
 MAX_SHIFT_DIST = 50
@@ -157,13 +157,3 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
         shifts += 1
     edits = shifts + dist
     return edits, edits / len(ref)
-
-
-def ter_corpus(
-    hyps: list[TokenizedSentence], refs: list[TokenizedSentence]
-) -> tuple[int, int, float]:
-    """(total edits, total reference length, rate) summed over the corpus."""
-    check_parallel(hyps, refs)
-    total_edits = sum(ter_sentence(hyp, ref)[0] for hyp, ref in zip(hyps, refs))
-    total_ref = sum(map(len, refs))
-    return total_edits, total_ref, total_edits / total_ref

@@ -23,6 +23,9 @@ class TokenizedSentence:
     tokens: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # tuple() of a string would split it into characters
+        if isinstance(self.tokens, str):
+            raise ValidationError(f"tokens {self.tokens!r} is a string, not a sequence of tokens")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         for tok in self.tokens:
             if not tok or any(ch.isspace() for ch in tok):

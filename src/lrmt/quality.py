@@ -150,7 +150,8 @@ def stratified_sample(
 
 def histogram_csv(scores: Sequence[float]) -> str:
     """CSV of (bin_low, bin_high, count) over 50 equal-width bins on the score
-    range [-1, 1]."""
+    range [-1, 1]; the last bin is closed. A NaN score or one outside [-1, 1]
+    raises ValidationError, as in ScorePopulation."""
     if not scores:
         raise ValidationError("histogram needs at least one score")
     bins, low, high = 50, -1.0, 1.0
@@ -158,8 +159,9 @@ def histogram_csv(scores: Sequence[float]) -> str:
     edges = [low + i * step for i in range(bins)] + [high]
     counts = [0] * bins
     for x in scores:
-        if low <= x <= high:  # the last bin is closed; out-of-range values are dropped
-            counts[min(bisect_right(edges, x), bins) - 1] += 1
+        if not low <= x <= high:  # NaN fails both comparisons
+            raise ValidationError(f"score {x} outside [-1, 1]")
+        counts[min(bisect_right(edges, x), bins) - 1] += 1
     lines = ["bin_low,bin_high,count"]
     for i in range(bins):
         lines.append(f"{edges[i]:.6f},{edges[i + 1]:.6f},{counts[i]}")

@@ -9,12 +9,12 @@ from lrmt.errors import ValidationError
 from lrmt.metrics.bleu import (
     SIGNATURE,
     BleuStats,
-    bleu_corpus,
     bleu_from_stats,
     brevity_penalty,
     compose_bleu,
     sentence_stats,
 )
+from lrmt.metrics.report import evaluate_corpus
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 STAT_LINES = Path(__file__).parent / "data" / "bleu_stat_lines.json"
@@ -34,6 +34,13 @@ def oracle_ngram_stats(hyp_tokens, ref_tokens, order):
 
 def random_sentence(rng, lo=4, hi=12, vocab=WORDS):
     return " ".join(rng.choice(vocab) for _ in range(rng.randrange(lo, hi)))
+
+
+def summed_stats(hyps, refs):
+    total = BleuStats.zero()
+    for h, r in zip(hyps, refs):
+        total = total + sentence_stats(tokenize_13a(h), tokenize_13a(r))
+    return total
 
 
 class TestSentenceStats:
@@ -77,11 +84,9 @@ class TestAdditivity:
     def test_sum_equals_whole(self):
         rng = random.Random(43)
         sents = [(random_sentence(rng), random_sentence(rng)) for _ in range(30)]
-        total = BleuStats.zero()
-        for h, r in sents:
-            total = total + sentence_stats(tokenize_13a(h), tokenize_13a(r))
-        _, corpus_stats, _ = bleu_corpus([h for h, _ in sents], [r for _, r in sents])
-        assert total == corpus_stats
+        hyps, refs = [h for h, _ in sents], [r for _, r in sents]
+        report = evaluate_corpus(hyps, refs)
+        assert (report.bleu, report.precisions, report.bp) == bleu_from_stats(summed_stats(hyps, refs))
 
     def test_reduction_order_free(self):
         rng = random.Random(44)
@@ -121,28 +126,27 @@ class TestBrevityPenalty:
 
 
 class TestBleuCorpus:
+    """Corpus BLEU as evaluate_corpus reports it."""
+
     def test_identity_is_100(self):
         sents = ["the cat sat on the mat today", "a river runs through the tall red house"]
-        score, stats, _ = bleu_corpus(sents, list(sents))
-        assert score == pytest.approx(100.0)
+        assert evaluate_corpus(sents, list(sents)).bleu == pytest.approx(100.0)
+        stats = summed_stats(sents, sents)
         assert stats.clipped == stats.totals
 
     def test_identity_short_sentences_still_100(self):
         # no 4-grams anywhere; vacuous orders must not zero the score
-        score, _, _ = bleu_corpus(["hi", "go now"], ["hi", "go now"])
-        assert score == pytest.approx(100.0)
+        assert evaluate_corpus(["hi", "go now"], ["hi", "go now"]).bleu == pytest.approx(100.0)
 
     def test_disjoint_is_0(self):
-        score, _, _ = bleu_corpus(["aa bb cc dd"], ["ee ff gg hh"])
-        assert score == 0.0
+        assert evaluate_corpus(["aa bb cc dd"], ["ee ff gg hh"]).bleu == 0.0
 
     def test_zero_higher_order_zeroes_score(self):
         # shared unigrams only; p2 = 0 kills the geometric mean
-        score, _, _ = bleu_corpus(["cat dog sun red"], ["dog cat red sun"])
-        assert score == 0.0
+        assert evaluate_corpus(["cat dog sun red"], ["dog cat red sun"]).bleu == 0.0
 
     def test_signature_format(self):
-        score, _, sig = bleu_corpus(["a b c d e"], ["a b c d e"])
+        sig = evaluate_corpus(["a b c d e"], ["a b c d e"]).signature
         assert sig == SIGNATURE
         parts = sig.split("|")
         assert parts[0] == "BLEU"
@@ -154,21 +158,22 @@ class TestBleuCorpus:
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            bleu_corpus(["a"], ["a", "b"])
+            evaluate_corpus(["a"], ["a", "b"])
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
-            bleu_corpus([], [])
+            evaluate_corpus([], [])
 
     def test_range(self):
         rng = random.Random(45)
         for _ in range(30):
             hyps = [random_sentence(rng) for _ in range(5)]
             refs = [random_sentence(rng) for _ in range(5)]
-            score, stats, _ = bleu_corpus(hyps, refs)
-            assert 0.0 <= score <= 100.0
-            bp = brevity_penalty(stats.hyp_len, stats.ref_len)
-            assert 0.0 < bp <= 1.0
+            report = evaluate_corpus(hyps, refs)
+            assert 0.0 <= report.bleu <= 100.0
+            stats = summed_stats(hyps, refs)
+            assert report.bp == brevity_penalty(stats.hyp_len, stats.ref_len)
+            assert 0.0 < report.bp <= 1.0
 
 
 class TestReportedStatLines:

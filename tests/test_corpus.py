@@ -6,8 +6,6 @@ import pytest
 
 from lrmt.corpus import (
     ENG_LATN,
-    SMOLDOC,
-    SYNTHETIC,
     TRP_LATN,
     Corpus,
     LanguageTag,
@@ -20,6 +18,9 @@ from lrmt.corpus import (
     write,
 )
 from lrmt.errors import IngestError, ValidationError
+
+SMOLDOC = Origin("smoldoc")
+SYNTHETIC = Origin("synthetic")
 
 
 def make_pair(i=0, src="hello there friend", tgt="bok nai kaisa", **kw):
@@ -61,7 +62,9 @@ class TestLanguageTag:
     def test_valid(self):
         assert str(LanguageTag("trp_Latn")) == "trp_Latn"
 
-    @pytest.mark.parametrize("bad", ["en", "eng-Latn", "ENG_Latn", "eng_latn", "eng_LATN", "", "eng_Lat"])
+    @pytest.mark.parametrize(
+        "bad", ["en", "eng-Latn", "ENG_Latn", "eng_latn", "eng_LATN", "", "eng_Lat", "eng_Latn\n"]
+    )
     def test_invalid(self, bad):
         with pytest.raises(ValidationError):
             LanguageTag(bad)
@@ -112,11 +115,6 @@ class TestSentencePair:
 
 
 class TestCorpus:
-    def test_composition_computed(self):
-        c = Corpus([make_pair(0), make_pair(1), make_pair(2, id="synthetic:0", origin=SYNTHETIC)])
-        assert c.composition == {SMOLDOC: 2, SYNTHETIC: 1}
-        assert len(c) == 3
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             Corpus([make_pair(0), make_pair(0)])
@@ -385,6 +383,8 @@ class TestIngestJsonl:
             ("id", ""),
             ("source_lang", 5),
             ("target_lang", False),
+            ("source_lang", "eng_Latn\n"),
+            ("target_lang", "eng_Latn\n"),
         ],
     )
     def test_mistyped_field_malformed(self, tmp_path, field, value):

@@ -1,4 +1,5 @@
-"""Every option lrmt declares is set by a real caller, or is kept for a reason.
+"""Every option and every public name lrmt declares has a real caller, or is
+kept for a reason.
 
 An option only tests set is dead configuration: it doubles the cases a reader
 must consider and no workload needs the other value. This reads ``src/lrmt``
@@ -10,6 +11,16 @@ are left out). A parameter counts as set when some call in ``src/`` or
 ``*args`` or ``**kwargs`` counts as setting every parameter. Calls in tests do
 not count. An option no such call sets must be listed in ``KEPT`` with the
 reason it stays.
+
+A public name nothing reads is a dangling declaration, by the same reasoning.
+The second scan lists each public module-level function, class and assigned
+name, and each public method or property of a public class. A name counts as
+used when a ``Name`` load or an ``Attribute`` with the same bare name appears
+in ``src/`` or ``benchmarks/`` outside the name's own definition; imports and
+the packages' re-exports are not uses. Bare names cannot tell two methods of
+the same name apart (``OverlapReport.to_json`` and ``MetricReport.to_json``),
+so a use of either counts for both. A name with no use must be listed in
+``KEPT_NAMES`` with the reason it stays.
 """
 
 import ast
@@ -24,6 +35,10 @@ KEPT = {
     ("evaluate_corpus", "comet_scores"): "the data behind MetricReport.comet",
     ("EmbeddingClient", "timeout"): "a deployment setting",
     ("EmbeddingClient", "sleep"): "the seam tests use to substitute a fake",
+}
+
+KEPT_NAMES = {
+    "SplitSpec.from_json_file": "the only reader of split-spec files, outside input a build recipe is to reuse",
 }
 
 
@@ -110,3 +125,75 @@ def test_every_option_has_a_caller():
     # an entry whose option is gone or has gained a caller goes too
     stale = sorted(f"{callee}({param})" for callee, param in KEPT.keys() - unset)
     assert not stale, f"KEPT entries that need no reason: {', '.join(stale)}"
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        t.id
+        for target in targets
+        for t in ast.walk(target)
+        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+    ]
+
+
+def declared_names() -> list[tuple[str, str, Path, int, int]]:
+    """(qualified name, bare name, file, first line, last line) per public
+    declaration; the lines span the definition, whose own body is no use."""
+    names = []
+    for path in sorted((ROOT / "src" / "lrmt").rglob("*.py")):
+        for node in _parse(path).body:
+            span = (path, node.lineno, node.end_lineno)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names.extend((name, name, *span) for name in _assigned(node) if _public(name))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                names.append((node.name, node.name, *span))
+            if isinstance(node, ast.ClassDef) and _public(node.name):
+                names.extend(
+                    (f"{node.name}.{fn.name}", fn.name, path, fn.lineno, fn.end_lineno)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and _public(fn.name)
+                )
+    return names
+
+
+def uses() -> dict[str, list[tuple[Path, int]]]:
+    """Bare name -> (file, line) of each Name load or Attribute in src/ and
+    benchmarks/."""
+    found: dict[str, list[tuple[Path, int]]] = {}
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found.setdefault(node.id, []).append((path, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    found.setdefault(node.attr, []).append((path, node.lineno))
+    return found
+
+
+NAMES = declared_names()
+USES = uses()
+
+
+def test_name_scan_sees_declarations_and_uses():
+    names = {qualified for qualified, *_ in NAMES}
+    assert {"ingest", "Corpus", "Corpus.ids", "MAX_ORDER", "SplitSpec.from_json_file"} <= names
+    assert "Corpus.__len__" not in names and "_best_shift" not in names
+    assert "evaluate_corpus" in USES
+
+
+def test_every_public_name_has_a_caller():
+    unused = {
+        qualified
+        for qualified, bare, path, first, last in NAMES
+        if all(p == path and first <= line <= last for p, line in USES.get(bare, ()))
+    }
+    unkept = sorted(unused - KEPT_NAMES.keys())
+    assert not unkept, f"public names nothing in src/ or benchmarks/ uses: {', '.join(unkept)}"
+    # an entry whose name is gone or has gained a use goes too
+    stale = sorted(KEPT_NAMES.keys() - unused)
+    assert not stale, f"KEPT_NAMES entries that need no reason: {', '.join(stale)}"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lrmt.corpus import ENG_LATN, SMOLDOC, SMOLSENT, TRP_LATN, Corpus, Origin, SentencePair
+from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
 from lrmt.errors import IngestError, ValidationError
 from lrmt.pipeline import (
     OverlapReport,
@@ -23,7 +23,9 @@ from lrmt.pipeline import (
     word_count,
 )
 
+SMOLDOC = Origin("smoldoc")
 GATITOS = Origin("gatitos")
+SMOLSENT = Origin("smolsent")
 
 
 def pair(i, src=None, tgt=None, origin=SMOLDOC):

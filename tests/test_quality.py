@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from lrmt.corpus import ENG_LATN, SMOLSENT, TRP_LATN, Corpus, SentencePair
+from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
 from lrmt.errors import ProviderError, ValidationError
 from lrmt.pipeline import SplitEntry, SplitSpec, sample_key, split
 from lrmt.quality import (
@@ -25,6 +25,8 @@ from lrmt.quality import (
     score_pairs,
     stratified_sample,
 )
+
+SMOLSENT = Origin("smolsent")
 
 
 class TestEmbeddingParse:
@@ -146,16 +148,17 @@ class TestHistogram:
     def test_matches_numpy(self, seed):
         rng = random.Random(seed)
         edges = np.linspace(-1.0, 1.0, 51).tolist()
-        near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
-        spread = [rng.uniform(-1.2, 1.2) for _ in range(1500)]
+        # both sides of every edge, except outside the closed range [-1, 1]
+        near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)][1:-1]
+        spread = [rng.uniform(-1.0, 1.0) for _ in range(1500)]
         scores = spread + edges + near
         rng.shuffle(scores)
         assert histogram_csv(scores) == np_histogram_csv(scores)
 
-    def test_out_of_range_and_non_finite_dropped(self):
-        out = histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25])
-        assert out == np_histogram_csv([-1.5, 1.5, math.inf, math.nan, 0.25])
-        assert out.count(",0\n") == 49
+    def test_out_of_range_and_non_finite_rejected(self):
+        for bad in (-1.5, 1.5, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="outside"):
+                histogram_csv([0.25, bad, 0.5])
 
     def test_no_scores(self):
         with pytest.raises(ValidationError, match="at least one score"):

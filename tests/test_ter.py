@@ -6,12 +6,12 @@ import pytest
 
 from lrmt.errors import ValidationError
 from lrmt.metrics._kernels import levenshtein_masks, match_masks
+from lrmt.metrics.report import evaluate_corpus
 from lrmt.metrics.ter import (
     MAX_SHIFT_DIST,
     MAX_SHIFT_SIZE,
     _best_shift,
     _shift_floor,
-    ter_corpus,
     ter_sentence,
 )
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
@@ -292,18 +292,23 @@ class TestTerSentence:
 
 
 class TestTerCorpus:
+    """Corpus TER as evaluate_corpus reports it: summed edits over summed
+    reference lengths."""
+
     def test_sums_not_means(self):
         # 1 edit / 4 ref + 0 edits / 2 ref pooled: 1/6, not mean(0.25, 0)
-        hyps = [sent("b a c d"), sent("x y")]
-        refs = [sent("a b c d"), sent("x y")]
-        edits, ref_len, rate = ter_corpus(hyps, refs)
+        hyps, refs = ["b a c d", "x y"], ["a b c d", "x y"]
+        edits = sum(ter_sentence(sent(h), sent(r))[0] for h, r in zip(hyps, refs))
+        ref_len = sum(len(sent(r)) for r in refs)
         assert (edits, ref_len) == (1, 6)
-        assert rate == pytest.approx(1 / 6)
+        ter = evaluate_corpus(hyps, refs).ter
+        assert ter == edits / ref_len * 100.0
+        assert ter == pytest.approx(100 / 6)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            ter_corpus([sent("a")], [])
+            evaluate_corpus(["a"], [])
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
-            ter_corpus([], [])
+            evaluate_corpus([], [])

@@ -53,6 +53,9 @@ class TestTokenizedSentence:
             TokenizedSentence(tokens=("ok", ""))
         with pytest.raises(ValidationError, match="bad token"):
             TokenizedSentence(tokens=("has space",))
+        # tuple("abc") would store one token per character
+        with pytest.raises(ValidationError, match="string"):
+            TokenizedSentence(tokens="abc")
 
     def test_list_stored_as_tuple(self):
         ts = TokenizedSentence(tokens=["a", "b"])
