@@ -59,6 +59,9 @@ def evaluate_corpus(
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]
+    empty = next((i for i, r in enumerate(ref_tok) if not r), None)
+    if empty is not None:
+        raise ValidationError(f"TER needs a non-empty reference; reference {empty} is empty")
     stats = sum(map(sentence_stats, hyp_tok, ref_tok), BleuStats.zero())
     bleu, precisions, bp = bleu_from_stats(stats)
     edits = sum(ter_sentence(h, r)[0] for h, r in zip(hyp_tok, ref_tok))

@@ -140,15 +140,18 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
     distance is within one of `_shift_floor`, below which no shift can take
     it. Stopping at floor + 1 is exact: a shift costs one edit and cannot
     take the distance below the floor, so from there no shift lowers shifts +
-    distance.
+    distance. An exact copy returns (0, 0.0) at once, and the floor is only
+    computed when the distance is above 1: the loop needs dist > floor + 1.
     """
     if len(ref) == 0:
         raise ValidationError("TER needs a non-empty reference")
+    if hyp.tokens == ref.tokens:
+        return 0, 0.0
     ref_masks = match_masks(ref.tokens)
     current = list(hyp.tokens)
     shifts = 0
     dist = levenshtein_masks(current, ref_masks, len(ref))
-    floor = _shift_floor(current, ref.tokens)
+    floor = _shift_floor(current, ref.tokens) if dist > 1 else 0
     while dist > floor + 1:
         found = _best_shift(current, ref_masks, len(ref), dist, floor)
         if found is None:

@@ -3,11 +3,13 @@
 A small, frozen rule set ("13a-lite"): pad punctuation with spaces, keep
 decimal/thousands separators and in-abbreviation periods attached, split on
 whitespace. The rules are locked by a golden-file test; changing them changes
-every metric, so don't.
+every metric, so don't. The n-gram counter skips a pair's shared prefix and
+suffix, whose n-grams match one for one, and adds their count exactly.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -15,7 +17,8 @@ from typing import Sequence, Sized
 
 from ..errors import ValidationError
 
-_ASCII_PUNCT = set("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
+# ASCII punctuation except tokenize_13a's rule-2 exceptions, judged on the original text
+_PAD_ASCII = re.compile(r"(?!(?<=[0-9])[.,][0-9]|(?<=[A-Za-z])\.\S)[!-/:-@\[-`{-~]")
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,9 @@ class TokenizedSentence:
         if isinstance(self.tokens, str):
             raise ValidationError(f"tokens {self.tokens!r} is a string, not a sequence of tokens")
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
-                raise ValidationError(f"bad token {tok!r}: empty or contains whitespace")
+        if " ".join(self.tokens).split() != list(self.tokens):  # split() splits on isspace()
+            tok = next(t for t in self.tokens if not t or any(map(str.isspace, t)))
+            raise ValidationError(f"bad token {tok!r}: empty or contains whitespace")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -55,30 +58,33 @@ def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int
     tuple word n-grams. One Counter holds the hypothesis n-grams of every
     order, keyed by the n-gram itself (its order is its length). Each
     reference n-gram then takes one of its copies while any are left, so an
-    n-gram matches min(hyp count, ref count) times: the clipped count.
+    n-gram matches min(hyp count, ref count) times: the clipped count. Each
+    side is counted only from a = p - max_order + 1 to b = s - max_order + 1
+    items before its end, for a common prefix of p and suffix of s items (s
+    capped so they do not overlap). The n-grams outside are one multiset c on
+    both sides and min(c + x, c + y) = c + min(x, y), so adding c is exact.
     """
+    short, p, s = min(len(hyp), len(ref)), 0, 0
+    while p < short and hyp[p] == ref[p]:
+        p += 1
+    while s < short - p and hyp[-1 - s] == ref[-1 - s]:
+        s += 1
+    a, b = max(0, p - max_order + 1), max(0, s - max_order + 1)
+    hyp_win, ref_win = hyp[a : len(hyp) - b], ref[a : len(ref) - b]
     orders = range(1, max_order + 1)
-    left = Counter(hyp[i : i + n] for n in orders for i in range(len(hyp) - n + 1))
+    left = Counter(hyp_win[i : i + n] for n in orders for i in range(len(hyp_win) - n + 1))
     get = left.get
     stats = []
     for n in orders:
-        matched = 0
-        for i in range(len(ref) - n + 1):
-            gram = ref[i : i + n]
+        matched = max(len(hyp) - n + 1, 0) - max(len(hyp_win) - n + 1, 0)
+        for i in range(len(ref_win) - n + 1):
+            gram = ref_win[i : i + n]
             copies = get(gram)
             if copies:
                 left[gram] = copies - 1
                 matched += 1
         stats.append((matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)))
     return tuple(stats)
-
-
-def _is_ascii_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _is_ascii_alpha(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
 
 
 def tokenize_13a(text: str) -> TokenizedSentence:
@@ -90,24 +96,12 @@ def tokenize_13a(text: str) -> TokenizedSentence:
          (3.14, 1,000) and '.' after a letter with a non-space following
          (U.S.A. style abbreviations mid-token);
       3. the result splits on whitespace.
+
+    Rule 2 is one regex pass; rule 1 depends on the character alone, so it
+    runs second, and only on text that is not ASCII.
     """
-    out: list[str] = []
-    n = len(text)
-    for k, ch in enumerate(text):
-        prev = text[k - 1] if k > 0 else " "
-        nxt = text[k + 1] if k + 1 < n else " "
-        if ord(ch) < 128:
-            if ch in _ASCII_PUNCT:
-                if ch in ".," and _is_ascii_digit(prev) and _is_ascii_digit(nxt):
-                    out.append(ch)
-                elif ch == "." and _is_ascii_alpha(prev) and not nxt.isspace():
-                    out.append(ch)
-                else:
-                    out.append(f" {ch} ")
-            else:
-                out.append(ch)
-        elif unicodedata.category(ch).startswith("P"):
-            out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return TokenizedSentence(tokens=tuple("".join(out).split()))
+    padded = _PAD_ASCII.sub(r" \g<0> ", text)
+    if not padded.isascii():
+        pad = [f" {c} " if c > "\x7f" and unicodedata.category(c)[0] == "P" else c for c in padded]
+        padded = "".join(pad)
+    return TokenizedSentence(tokens=tuple(padded.split()))

@@ -71,6 +71,12 @@ class TestEvaluateCorpus:
         with pytest.raises(ValidationError, match="NaN or inf"):
             evaluate_corpus(HYPS[:1], REFS[:1], **{name: [bad]})
 
+    def test_empty_reference_named(self):
+        with pytest.raises(ValidationError, match="non-empty reference; reference 1 is empty"):
+            evaluate_corpus(["a b", "c"], ["a b", ""])
+        with pytest.raises(ValidationError, match="reference 2 is empty"):
+            evaluate_corpus(["a", "b", "c", "d"], ["a", "b", " \u3000", ""])
+
     def test_corpus_mismatch_and_empty(self):
         with pytest.raises(ValidationError):
             evaluate_corpus(HYPS, REFS[:2])

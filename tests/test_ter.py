@@ -123,6 +123,23 @@ def floorless_edits(hyp, ref):
     return shifts + dist
 
 
+def always_floor_ter(hyp, ref):
+    """ter_sentence without its two early exits: no exact-copy return, and
+    the floor computed for every pair."""
+    ref_masks = match_masks(ref)
+    current = list(hyp)
+    shifts = 0
+    dist = levenshtein_masks(current, ref_masks, len(ref))
+    floor = _shift_floor(current, ref)
+    while dist > floor + 1:
+        found = _best_shift(current, ref_masks, len(ref), dist, floor)
+        if found is None:
+            break
+        current, dist = found
+        shifts += 1
+    return shifts + dist, (shifts + dist) / len(ref)
+
+
 def eval_long_pair(rng, n, moves):
     """A hyp/ref pair shaped like the benchmark's long segments: an n-token
     reference of Zipf-weighted words, and a hypothesis made from it by
@@ -280,6 +297,32 @@ class TestTerSentence:
     def test_empty_ref_rejected(self):
         with pytest.raises(ValidationError):
             ter_sentence(toks("a"), toks())
+
+    def test_empty_pair_rejected(self):
+        # the empty-reference check comes before the exact-copy return
+        with pytest.raises(ValidationError, match="non-empty reference"):
+            ter_sentence(toks(), toks())
+
+    def test_exact_copy(self):
+        assert ter_sentence(toks("a", "b", "a"), toks("a", "b", "a")) == (0, 0.0)
+
+    def test_matches_always_floor_loop(self):
+        # short segments like eval-short's: exact copies, one edit away (where
+        # the floor is skipped) and further
+        rng = random.Random(56)
+        for _ in range(2000):
+            vocab = "abcde"[: rng.randrange(1, 6)]
+            ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 11))]
+            hyp = list(ref)
+            for _ in range(rng.randrange(0, 4)):
+                k = rng.randrange(len(hyp) + 1)
+                if k < len(hyp) and rng.random() < 0.5:
+                    del hyp[k]
+                else:
+                    hyp.insert(k, rng.choice(vocab))
+            if rng.random() < 0.2:
+                rng.shuffle(hyp)
+            assert ter_sentence(toks(*hyp), toks(*ref)) == always_floor_ter(hyp, ref), (hyp, ref)
 
     def test_rate_can_exceed_one(self):
         edits, rate = ter_sentence(toks("x", "y", "z", "w"), toks("a"))

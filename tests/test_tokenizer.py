@@ -1,5 +1,8 @@
 import json
 import random
+import string
+import sys
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
@@ -57,6 +60,24 @@ class TestTokenizedSentence:
         with pytest.raises(ValidationError, match="string"):
             TokenizedSentence(tokens="abc")
 
+    def test_whitespace_is_what_isspace_accepts(self):
+        # the one-pass check relies on str.split() splitting on exactly the
+        # characters str.isspace() accepts, in all of Unicode
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert "\x1c" in spaces and "\x85" in spaces and "\u3000" in spaces
+        for ch in spaces:
+            with pytest.raises(ValidationError, match="bad token"):
+                TokenizedSentence(tokens=("a", f"b{ch}c"))
+        for c in range(0x3100):
+            if not chr(c).isspace():
+                assert TokenizedSentence(tokens=(f"b{chr(c)}c",)).tokens == (f"b{chr(c)}c",)
+
+    def test_bad_token_named(self):
+        with pytest.raises(ValidationError, match=r"bad token 'b\\x85c'"):
+            TokenizedSentence(tokens=("a", "b\x85c", "d e"))
+        with pytest.raises(ValidationError, match="bad token ''"):
+            TokenizedSentence(tokens=("a", "", "d e"))
+
     def test_list_stored_as_tuple(self):
         ts = TokenizedSentence(tokens=["a", "b"])
         assert ts.tokens == ("a", "b")
@@ -75,6 +96,55 @@ class TestGoldenFile:
         for case in cases:
             got = list(tokenize_13a(case["text"]).tokens)
             assert got == case["tokens"], f"tokenization drifted for {case['text']!r}"
+
+
+def loop_tokenize_13a(text):
+    """tokenize_13a's rules one character at a time, each judged against its
+    original neighbors: the implementation the regex passes replaced."""
+    out = []
+    for k, ch in enumerate(text):
+        prev = text[k - 1] if k > 0 else " "
+        nxt = text[k + 1] if k + 1 < len(text) else " "
+        if ord(ch) < 128:
+            if ch in string.punctuation:
+                if ch in ".," and "0" <= prev <= "9" and "0" <= nxt <= "9":
+                    out.append(ch)
+                elif ch == "." and prev in string.ascii_letters and not nxt.isspace():
+                    out.append(ch)
+                else:
+                    out.append(f" {ch} ")
+            else:
+                out.append(ch)
+        elif unicodedata.category(ch).startswith("P"):
+            out.append(f" {ch} ")
+        else:
+            out.append(ch)
+    return tuple("".join(out).split())
+
+
+# whitespace str.isspace() accepts beyond ASCII's, a no-break space, and
+# non-ASCII punctuation (category P*) and symbols
+ODD_CHARS = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000«»。、！？।॥¿¡—…€©½é字"
+
+
+class TestAgainstLoop:
+    def test_random_text(self):
+        # digits, letters, '.' and ',' weighted up so the exceptions' contexts recur
+        rng = random.Random(91)
+        pool = string.printable + ODD_CHARS + "0123456789" + ".,.,.," + "aZ"
+        for _ in range(20000):
+            text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 16)))
+            assert tokenize_13a(text).tokens == loop_tokenize_13a(text), repr(text)
+
+    def test_every_neighbor_of_the_exceptions(self):
+        # Latin, Greek, Cyrillic, Indic, general punctuation and CJK symbols
+        # on either side of '.' and ',' and inside a word
+        for c in range(0x3100):
+            ch = chr(c)
+            if "\ud800" <= ch <= "\udfff":
+                continue
+            for text in (f"a.{ch}", f"1.{ch}", f"1,{ch}", f"{ch}.1", f"{ch},1", f"{ch}.x", f"x{ch}x"):
+                assert tokenize_13a(text).tokens == loop_tokenize_13a(text), repr(text)
 
 
 def intersection_ngram_stats(hyp, ref, max_order):
@@ -106,3 +176,69 @@ class TestNgramStats:
     def test_words_and_characters_counted_apart(self):
         # a word unigram "ab" is not the character bigram "ab"
         assert ngram_stats(("ab",), ("a", "b"), 2) == ((0, 1, 2), (0, 0, 1))
+
+
+def counter_ngram_stats(hyp, ref, max_order):
+    """ngram_stats without the affix trim: every n-gram of both sides counted."""
+    orders = range(1, max_order + 1)
+    left = Counter(hyp[i : i + n] for n in orders for i in range(len(hyp) - n + 1))
+    stats = []
+    for n in orders:
+        matched = 0
+        for i in range(len(ref) - n + 1):
+            gram = ref[i : i + n]
+            if left[gram]:
+                left[gram] -= 1
+                matched += 1
+        stats.append((matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)))
+    return tuple(stats)
+
+
+def near_copy(rng, alphabet, text):
+    """`text` after 0 to 3 random insertions, deletions or substitutions."""
+    chars = list(text)
+    for _ in range(rng.randrange(0, 4)):
+        k = rng.randrange(len(chars) + 1)
+        edit = rng.choice(["ins", "del", "sub"]) if k < len(chars) else "ins"
+        if edit == "ins":
+            chars.insert(k, rng.choice(alphabet))
+        elif edit == "del":
+            del chars[k]
+        else:
+            chars[k] = rng.choice(alphabet)
+    return "".join(chars)
+
+
+class TestAffixTrim:
+    def test_matches_untrimmed_on_near_copies(self):
+        # near copies share long prefixes and suffixes, shorter or longer than
+        # the order; small alphabets repeat n-grams across the affix boundary
+        rng = random.Random(92)
+        for _ in range(800):
+            alphabet = "abcde"[: rng.randrange(1, 6)]
+            ref = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 20)))
+            hyp = near_copy(rng, alphabet, ref)
+            for max_order in range(1, 7):
+                for h, r in ((hyp, ref), (ref, hyp), (tuple(hyp), tuple(ref))):
+                    assert ngram_stats(h, r, max_order) == counter_ngram_stats(h, r, max_order)
+
+    @pytest.mark.parametrize(
+        "hyp,ref",
+        [
+            ("aaaa", "aa"),  # the prefix and the suffix overlap
+            ("aa", "aaaa"),
+            ("abab", "ab"),
+            ("xabcy", "zabcw"),  # shared middle, no shared affix
+            ("abxcd", "abycd"),  # affixes shorter than the order
+            ("abcdefgxhijklmn", "abcdefgyhijklmn"),  # affixes longer than the order
+            ("", ""),
+            ("", "abc"),
+            ("abc", ""),
+            ("abcabc", "abcabc"),  # exact copies
+            ("a", "a"),
+        ],
+    )
+    def test_edge_cases(self, hyp, ref):
+        for max_order in range(1, 7):
+            for h, r in ((hyp, ref), (tuple(hyp), tuple(ref))):
+                assert ngram_stats(h, r, max_order) == counter_ngram_stats(h, r, max_order)
