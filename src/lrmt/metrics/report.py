@@ -54,8 +54,14 @@ def evaluate_corpus(
             continue
         if len(scores) != len(hyps):
             raise ValidationError(f"{name} scores length {len(scores)} != corpus size {len(hyps)}")
+        # True == 1, so a bool would pass as the score 1.0
+        if any(isinstance(s, bool) for s in scores):
+            raise ValidationError(f"{name} scores contain a bool")
         if not all(map(math.isfinite, scores)):
             raise ValidationError(f"{name} scores contain NaN or inf")
+        # a cosine lies in [-1, 1]; COMET's range depends on its model
+        if name == "embedding" and not all(-1.0 <= s <= 1.0 for s in scores):
+            raise ValidationError("embedding scores outside [-1, 1]")
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]

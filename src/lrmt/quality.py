@@ -1,6 +1,6 @@
-"""Embedding-similarity quality analysis: population statistics, retention
-curves, histogram export, stratified inspection sampling, and threshold
-filtering.
+"""Embedding-similarity quality analysis: scoring pairs through the
+embedding service, the analysis report a filtering threshold is chosen from,
+its score histogram, stratified inspection sampling, and threshold filtering.
 
 Scores are persisted on the corpus (JSONL `score` field), so everything here
 except `score_pairs` is pure computation over already-scored data; the
@@ -17,7 +17,7 @@ import time
 import urllib.error
 import urllib.request
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -28,50 +28,6 @@ from .pipeline import hash_sorted
 MAX_EMBED_BATCH = 512  # server-side request cap
 EMBED_BATCH = 128  # pairs per score_pairs batch: one source and one target request
 MAX_ATTEMPTS = 3  # tries per embed request before a transient failure is final
-
-
-@dataclass(frozen=True)
-class ScorePopulation:
-    """Scores with their population mean/std (N denominator, not N-1), derived
-    from `scores` by two-pass compensated sums."""
-
-    scores: tuple[float, ...]
-    n: int = field(init=False)
-    mean: float = field(init=False)
-    std: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(self.scores))
-        if not self.scores:
-            raise ValidationError("a score population needs at least one score")
-        for s in self.scores:
-            if not -1.0 <= s <= 1.0:
-                raise ValidationError(f"score {s} outside [-1, 1]")
-        n = len(self.scores)
-        mean = math.fsum(self.scores) / n
-        var = math.fsum((s - mean) ** 2 for s in self.scores) / n
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", math.sqrt(var))
-
-
-def retention_curve(
-    scores: Sequence[float], thresholds: Sequence[float]
-) -> tuple[tuple[float, float], ...]:
-    """(t, fraction of scores >= t) for each threshold t, in order.
-
-    Thresholds must ascend and be NaN-free, so the fractions lie in [0, 1]
-    and never increase along the curve.
-    """
-    if not scores:
-        raise ValidationError("retention_curve needs at least one score")
-    if any(map(math.isnan, chain(scores, thresholds))):
-        raise ValidationError("retention_curve got a NaN score or threshold")
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValidationError("thresholds must be sorted ascending")
-    ordered = sorted(scores)
-    n = len(ordered)
-    return tuple((float(t), (n - bisect_left(ordered, t)) / n) for t in thresholds)
 
 
 def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpus]:
@@ -148,19 +104,25 @@ def stratified_sample(
     return StratifiedSample(bands=tuple(out), warnings=tuple(warnings))
 
 
+def _check_scores(scores: Sequence[float]) -> None:
+    """The score rule of the analysis: at least one score, each in [-1, 1]."""
+    if not scores:
+        raise ValidationError("the analysis needs at least one score")
+    for s in scores:
+        if not -1.0 <= s <= 1.0:  # NaN and +-inf fail too
+            raise ValidationError(f"score {s} outside [-1, 1]")
+
+
 def histogram_csv(scores: Sequence[float]) -> str:
     """CSV of (bin_low, bin_high, count) over 50 equal-width bins on the score
-    range [-1, 1]; the last bin is closed. A NaN score or one outside [-1, 1]
-    raises ValidationError, as in ScorePopulation."""
-    if not scores:
-        raise ValidationError("histogram needs at least one score")
+    range [-1, 1]; the last bin is closed. Raises ValidationError on no
+    scores or a score not in [-1, 1], as `analysis_report` does."""
+    _check_scores(scores)
     bins, low, high = 50, -1.0, 1.0
     step = (high - low) / bins
     edges = [low + i * step for i in range(bins)] + [high]
     counts = [0] * bins
     for x in scores:
-        if not low <= x <= high:  # NaN fails both comparisons
-            raise ValidationError(f"score {x} outside [-1, 1]")
         counts[min(bisect_right(edges, x), bins) - 1] += 1
     lines = ["bin_low,bin_high,count"]
     for i in range(bins):
@@ -173,22 +135,34 @@ def analysis_report(
     thresholds: Sequence[float],
     histogram_path: Optional[str] = None,
 ) -> dict:
-    """JSON-ready summary: stats, retention curve, conventions used.
+    """JSON-ready summary of the scores, with the conventions it uses: `n`,
+    `mean`, the population `std` (N denominator, not N-1; both by two-pass
+    compensated sums) and a curve of the fraction of scores >= each threshold
+    (an inclusive bound). Thresholds must ascend and be NaN-free, so the
+    fractions lie in [0, 1] and never increase along the curve. No scores, or
+    a score not in [-1, 1] (NaN included), raises ValidationError.
 
     `histogram_path` is only recorded, as the caller passes it: the report
     writes no file. A caller that names a histogram writes it there itself,
     for instance the text of `histogram_csv(scores)`.
     """
-    pop = ScorePopulation(scores)
-    curve = retention_curve(scores, thresholds)
+    _check_scores(scores)
+    if any(map(math.isnan, thresholds)):
+        raise ValidationError("analysis_report got a NaN threshold")
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValidationError("thresholds must be sorted ascending")
+    n = len(scores)
+    mean = math.fsum(scores) / n
+    ordered = sorted(scores)
     return {
-        "n": pop.n,
-        "mean": pop.mean,
-        "std": pop.std,
+        "n": n,
+        "mean": mean,
+        "std": math.sqrt(math.fsum((s - mean) ** 2 for s in scores) / n),
         "std_kind": "population",
         "retention_bound": "inclusive",
         "curve": [
-            {"threshold": t, "retained_fraction": f} for t, f in curve
+            {"threshold": float(t), "retained_fraction": (n - bisect_left(ordered, t)) / n}
+            for t in thresholds
         ],
         "histogram_path": histogram_path,
     }

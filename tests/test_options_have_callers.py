@@ -17,10 +17,14 @@ The second scan lists each public module-level function, class and assigned
 name, and each public method or property of a public class. A name counts as
 used when a ``Name`` load or an ``Attribute`` with the same bare name appears
 in ``src/`` or ``benchmarks/`` outside the name's own definition; imports and
-the packages' re-exports are not uses. Bare names cannot tell two methods of
-the same name apart (``OverlapReport.to_json`` and ``MetricReport.to_json``),
-so a use of either counts for both. A name with no use must be listed in
+the packages' re-exports are not uses. A name with no use must be listed in
 ``KEPT_NAMES`` with the reason it stays.
+
+Bare names cannot tell two methods of the same name apart
+(``OverlapReport.to_json`` and ``MetricReport.to_json``), so a use of either
+counts for both. The third check makes that blind spot explicit: every public
+method or property name that more than one public class declares must be
+listed in ``SHARED_NAMES`` with the reason the classes share it.
 """
 
 import ast
@@ -39,6 +43,11 @@ KEPT = {
 
 KEPT_NAMES = {
     "SplitSpec.from_json_file": "the only reader of split-spec files, outside input a build recipe is to reuse",
+}
+
+SHARED_NAMES = {
+    "to_json": "MetricReport.to_json writes the benchmark's reports; OverlapReport.to_json, "
+    "which only tests call, is kept for ROADMAP item 3's one-JSON run record",
 }
 
 
@@ -197,3 +206,22 @@ def test_every_public_name_has_a_caller():
     # an entry whose name is gone or has gained a use goes too
     stale = sorted(KEPT_NAMES.keys() - unused)
     assert not stale, f"KEPT_NAMES entries that need no reason: {', '.join(stale)}"
+
+
+def shared_method_names() -> dict[str, list[str]]:
+    """Bare name -> qualified names, for each public method or property name
+    that more than one public class declares."""
+    owners: dict[str, list[str]] = {}
+    for qualified, bare, *_ in NAMES:
+        if qualified != bare:
+            owners.setdefault(bare, []).append(qualified)
+    return {bare: qualified for bare, qualified in owners.items() if len(qualified) > 1}
+
+
+def test_shared_method_names_are_listed():
+    shared = shared_method_names()
+    unlisted = sorted(f"{bare} ({', '.join(q)})" for bare, q in shared.items() if bare not in SHARED_NAMES)
+    assert not unlisted, f"method names more than one class declares, not in SHARED_NAMES: {'; '.join(unlisted)}"
+    # an entry whose name one class alone declares now goes too
+    stale = sorted(SHARED_NAMES.keys() - shared.keys())
+    assert not stale, f"SHARED_NAMES entries no two classes share: {', '.join(stale)}"

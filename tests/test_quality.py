@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import statistics
 import threading
 from dataclasses import replace
@@ -15,13 +16,11 @@ from lrmt.pipeline import SplitEntry, SplitSpec, sample_key, split
 from lrmt.quality import (
     EMBED_BATCH,
     EmbeddingClient,
-    ScorePopulation,
     ScoringError,
     analysis_report,
     cosine,
     filter_by_threshold,
     histogram_csv,
-    retention_curve,
     score_pairs,
     stratified_sample,
 )
@@ -170,47 +169,6 @@ def _grid_scores(rng, n):
     return [rng.randrange(-8, 9) / 8 for _ in range(n)]
 
 
-class TestPopulationStats:
-    def test_matches_brute_force(self):
-        rng = random.Random(11)
-        for n in (1, 2, 3, 50, 1000):
-            scores = _grid_scores(rng, n) if n % 2 else [rng.uniform(-1, 1) for _ in range(n)]
-            pop = ScorePopulation(scores)
-            assert pop.scores == tuple(scores)
-            assert pop.n == n
-            assert math.isclose(pop.mean, statistics.fmean(scores), rel_tol=1e-12, abs_tol=1e-15)
-            assert math.isclose(pop.std, statistics.pstdev(scores), rel_tol=1e-12, abs_tol=1e-15)
-
-    def test_stats_are_derived_not_passed(self):
-        assert ScorePopulation((0.5, -0.5)).std == 0.5
-        with pytest.raises(TypeError):
-            ScorePopulation(scores=(0.5,), n=1, mean=0.5, std=0.0)
-
-    @pytest.mark.parametrize("scores", [[], [1.5], [0.0, -1.01], [math.nan]])
-    def test_rejects(self, scores):
-        with pytest.raises(ValidationError):
-            ScorePopulation(scores)
-
-
-class TestRetentionCurve:
-    def test_matches_brute_force_with_ties(self):
-        rng = random.Random(12)
-        for n in (1, 2, 17, 400):
-            scores = _grid_scores(rng, n)
-            thresholds = sorted({rng.randrange(-9, 10) / 8 for _ in range(12)} | {0.3, -1.0, 1.0})
-            curve = retention_curve(scores, thresholds)
-            assert curve == tuple(
-                (t, sum(1 for s in scores if s >= t) / n) for t in thresholds
-            )
-
-    @pytest.mark.parametrize(
-        "scores, thresholds", [([], [0.0]), ([0.5], [0.5, 0.0]), ([math.nan], [0.0]), ([0.5], [math.nan])]
-    )
-    def test_rejects(self, scores, thresholds):
-        with pytest.raises(ValidationError):
-            retention_curve(scores, thresholds)
-
-
 class TestAnalysisReport:
     def test_matches_brute_force(self):
         rng = random.Random(18)
@@ -229,10 +187,54 @@ class TestAnalysisReport:
             assert report["histogram_path"] == "h.csv"
             json.dumps(report)
 
-    @pytest.mark.parametrize("scores, thresholds", [([], [0.0]), ([0.5], [math.nan])])
+    def test_stats_match_brute_force(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3, 50, 1000):
+            scores = _grid_scores(rng, n) if n % 2 else [rng.uniform(-1, 1) for _ in range(n)]
+            report = analysis_report(scores, [])
+            assert report["n"] == n
+            assert math.isclose(report["mean"], statistics.fmean(scores), rel_tol=1e-12, abs_tol=1e-15)
+            assert math.isclose(report["std"], statistics.pstdev(scores), rel_tol=1e-12, abs_tol=1e-15)
+
+    def test_curve_matches_brute_force_with_ties(self):
+        rng = random.Random(12)
+        for n in (1, 2, 17, 400):
+            scores = _grid_scores(rng, n)
+            thresholds = sorted({rng.randrange(-9, 10) / 8 for _ in range(12)} | {0.3, -1.0, 1.0})
+            assert analysis_report(scores, thresholds)["curve"] == [
+                {"threshold": t, "retained_fraction": sum(1 for s in scores if s >= t) / n}
+                for t in thresholds
+            ]
+
+    @pytest.mark.parametrize(
+        "scores, thresholds",
+        [([], [0.0]), ([0.5], [math.nan]), ([0.5], [0.5, 0.0]), ([math.nan], [0.0])],
+    )
     def test_rejects(self, scores, thresholds):
         with pytest.raises(ValidationError):
             analysis_report(scores, thresholds)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [],
+            [1.5],
+            [-1.01],
+            [math.nextafter(1.0, 2.0)],
+            [math.nan],
+            [math.inf],
+            [-math.inf],
+            [0.5, 7.0],
+            [0.0, -1.01],
+        ],
+    )
+    def test_score_rule_shared_with_histogram(self, bad):
+        with pytest.raises(ValidationError) as report_error:
+            analysis_report(bad, [0.0])
+        with pytest.raises(ValidationError) as histogram_error:
+            histogram_csv(bad)
+        assert str(report_error.value) == str(histogram_error.value)
+        assert re.search(r"at least one score|outside \[-1, 1\]", str(report_error.value))
 
 
 def _scored_pool(rng, n):

@@ -71,6 +71,24 @@ class TestEvaluateCorpus:
         with pytest.raises(ValidationError, match="NaN or inf"):
             evaluate_corpus(HYPS[:1], REFS[:1], **{name: [bad]})
 
+    @pytest.mark.parametrize("bad", [5.0, -1.01, math.nextafter(1.0, 2.0), 2])
+    def test_embedding_score_outside_cosine_range_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"embedding scores outside \[-1, 1\]"):
+            evaluate_corpus(HYPS[:2], REFS[:2], embedding_scores=[0.5, bad])
+
+    def test_embedding_score_range_is_closed(self):
+        report = evaluate_corpus(HYPS[:2], REFS[:2], embedding_scores=[1.0, -1.0])
+        assert report.cos_sim == 0.0
+
+    def test_comet_score_keeps_only_the_finite_rule(self):
+        assert evaluate_corpus(HYPS[:2], REFS[:2], comet_scores=[5.0, -3.0]).comet == 1.0
+
+    @pytest.mark.parametrize("name", ["embedding_scores", "comet_scores"])
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_bool_scores_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match="contain a bool"):
+            evaluate_corpus(HYPS[:2], REFS[:2], **{name: [0.5, bad]})
+
     def test_empty_reference_named(self):
         with pytest.raises(ValidationError, match="non-empty reference; reference 1 is empty"):
             evaluate_corpus(["a b", "c"], ["a b", ""])

@@ -126,6 +126,15 @@ def traced(roots: dict, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
+def _count(text: str) -> int:
+    """A pair count for argparse: an int of at least 1, since a side with no
+    runs has nothing to summarise."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -134,11 +143,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["eval-long", "eval-short", "build"])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=_count, default=10)
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--trace-seconds", type=float, default=15)
     parser.add_argument("--extra-seed", type=int)
-    parser.add_argument("--extra-pairs", type=int, default=4)
+    parser.add_argument("--extra-pairs", type=_count, default=4)
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
