@@ -195,6 +195,7 @@ class TestAnalysisReport:
             assert report["n"] == n
             assert math.isclose(report["mean"], statistics.fmean(scores), rel_tol=1e-12, abs_tol=1e-15)
             assert math.isclose(report["std"], statistics.pstdev(scores), rel_tol=1e-12, abs_tol=1e-15)
+        assert analysis_report([0.5, -0.5], [])["std"] == 0.5
 
     def test_curve_matches_brute_force_with_ties(self):
         rng = random.Random(12)
