@@ -30,7 +30,7 @@ class LanguageTag:
     code: str
 
     def __post_init__(self) -> None:
-        if not _LANG_TAG_RE.fullmatch(self.code):
+        if not isinstance(self.code, str) or not _LANG_TAG_RE.fullmatch(self.code):
             raise ValidationError(
                 f"bad language tag {self.code!r}: expected 3 lowercase letters, "
                 "underscore, title-case 4-letter script (e.g. 'eng_Latn')"
@@ -52,7 +52,7 @@ class Origin:
     label: str
 
     def __post_init__(self) -> None:
-        if not self.label or _WS_RE.search(self.label):
+        if not (isinstance(self.label, str) and self.label) or _WS_RE.search(self.label):
             raise ValidationError(f"bad origin label {self.label!r}: must be non-empty, no whitespace")
         object.__setattr__(self, "label", self.label.lower())
 
@@ -68,9 +68,21 @@ def normalize_text(raw: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", raw)).strip()
 
 
+def check_score(score: object, what: str) -> None:
+    """The similarity-score rule: an int or float (a cosine), not a bool, in
+    [-1, 1]; NaN and +-inf fail. Raises ValidationError naming `what`."""
+    # bool is an int subclass, and a numeric string is not a number
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise ValidationError(f"{what} {score!r} is not a number")
+    if not -1.0 <= score <= 1.0:
+        raise ValidationError(f"{what} {score!r} outside [-1, 1]")
+
+
 @dataclass(frozen=True)
 class SentencePair:
-    """One aligned source/target sentence with language tags and provenance."""
+    """One aligned source/target sentence with language tags and provenance.
+    Each field is checked by its type, the score by :func:`check_score`, so
+    readers hand fields over unchecked."""
 
     id: str
     source_text: str
@@ -81,8 +93,8 @@ class SentencePair:
     score: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("sentence pair id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError(f"sentence pair id {self.id!r} is not a non-empty string")
         for side, text in (("source", self.source_text), ("target", self.target_text)):
             if not text.strip():
                 raise ValidationError(f"pair {self.id}: {side} text empty after trimming")
@@ -90,8 +102,8 @@ class SentencePair:
                 raise ValidationError(f"pair {self.id}: {side} text contains raw tab/newline")
         if self.source_lang == self.target_lang:
             raise ValidationError(f"pair {self.id}: source and target language tags are equal")
-        if self.score is not None and not -1.0 <= self.score <= 1.0:
-            raise ValidationError(f"pair {self.id}: score {self.score} outside [-1, 1]")
+        if self.score is not None:
+            check_score(self.score, f"pair {self.id}: score")
 
 
 @dataclass(frozen=True)
@@ -151,10 +163,11 @@ def ingest(
     A missing or unreadable path (a directory, no permission) and bytes
     that are not UTF-8 raise ``IngestError`` too.
 
-    Every row is normalized via :func:`normalize_text`. Malformed rows are
-    logged and skipped; more than 10% malformed rows is treated as a wrong
-    format and raises. Ids are assigned as ``<origin>:<0-based row index>``
-    unless a JSONL row supplies its own ``id``.
+    Every row is normalized via :func:`normalize_text`; a JSONL row's other
+    fields go to the types, which check them, and an absent or null one takes
+    the default. Malformed rows are logged and skipped; more than 10% malformed
+    rows is treated as a wrong format and raises. Ids are assigned as
+    ``<origin>:<0-based row index>`` unless a JSONL row supplies its own ``id``.
     """
     path = Path(path)
     if format is None:
@@ -208,15 +221,6 @@ def ingest(
     return Corpus(pairs, path.stem)
 
 
-def _optional_text(obj: dict, key: str) -> Optional[str]:
-    """A JSONL row's optional string field: None when absent or null, else it
-    must be a non-empty string (no coercion of numbers, lists or "")."""
-    value = obj.get(key)
-    if value is not None and (not isinstance(value, str) or not value):
-        raise ValidationError(f"bad {key!r} value {value!r}: not a non-empty string")
-    return value
-
-
 def _parse_row(
     line: str,
     format: str,
@@ -225,8 +229,7 @@ def _parse_row(
     target_lang: LanguageTag,
     origin: Origin,
 ) -> SentencePair:
-    pair_id: Optional[str] = None
-    score: Optional[float] = None
+    pair_id = score = None
     if format == "tsv":
         cols = line.split("\t")
         if len(cols) != 2:
@@ -244,22 +247,15 @@ def _parse_row(
             raise ValidationError("missing 'source'/'target' string fields")
         src = normalize_text(obj["source"])
         tgt = normalize_text(obj["target"])
-        label = _optional_text(obj, "origin")
-        if label is not None:
-            origin = Origin(label)
-        pair_id = _optional_text(obj, "id")
-        score = obj.get("score")
-        # bool is an int subclass, and a numeric string is not a number
-        if score is not None and type(score) not in (int, float):
-            raise ValidationError(f"bad score value {score!r}: not a JSON number")
-        tag = _optional_text(obj, "source_lang")
-        if tag is not None:
-            source_lang = LanguageTag(tag)
-        tag = _optional_text(obj, "target_lang")
-        if tag is not None:
-            target_lang = LanguageTag(tag)
+        if obj.get("origin") is not None:
+            origin = Origin(obj["origin"])
+        if obj.get("source_lang") is not None:
+            source_lang = LanguageTag(obj["source_lang"])
+        if obj.get("target_lang") is not None:
+            target_lang = LanguageTag(obj["target_lang"])
+        pair_id, score = obj.get("id"), obj.get("score")
     return SentencePair(
-        id=pair_id or f"{origin.label}:{row_index}",
+        id=f"{origin.label}:{row_index}" if pair_id is None else pair_id,
         source_text=src,
         target_text=tgt,
         source_lang=source_lang,

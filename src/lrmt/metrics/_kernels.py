@@ -45,8 +45,9 @@ def levenshtein_masks(a: Sequence[Hashable], peq: Mapping[Hashable, int], m: int
     """Edit distance from `a` to the length-`m` sequence whose `match_masks` is `peq`."""
     if m == 0:
         return len(a)
-    # the distance is at most m + len(a), so this bound is never reached
-    return levenshtein_resume(a, peq, m, _start_state(m), m + len(a) + 1)[2]
+    # the distance is at most m + len(a), so this bound is never reached; the
+    # start state's resume_lower_bound is |m - len(a)|
+    return levenshtein_resume(a, peq, m, _start_state(m), abs(m - len(a)), m + len(a) + 1)[2]
 
 
 def _start_state(m: int) -> LevState:
@@ -65,7 +66,8 @@ def levenshtein_prefix_states(
     states = [_start_state(m)]
     unreachable = m + len(a) + 1
     for tok in a:
-        states.append(levenshtein_resume((tok,), peq, m, states[-1], unreachable))
+        low = resume_lower_bound(states[-1], m, 1)
+        states.append(levenshtein_resume((tok,), peq, m, states[-1], low, unreachable))
     return states
 
 
@@ -92,6 +94,7 @@ def levenshtein_resume(
     peq: Mapping[Hashable, int],
     m: int,
     state: LevState,
+    low: int,
     bound: int,
 ) -> Optional[LevState]:
     """Continue the DP from `state` (after some prefix) over the tokens of `a`.
@@ -99,20 +102,17 @@ def levenshtein_resume(
     Returns the state after `a`, whose score is the edit distance from
     prefix + `a` to `b`; `m >= 1`. Returns None instead as soon as that
     distance is sure to be `>= bound`. The kernel follows the diagonal that
-    ends in the final cell, from its `resume_lower_bound` value in the
-    current row, and gives up once that value reaches `bound`. Each token
-    moves it one cell down the diagonal: the step costs nothing when bit c of
-    the diagonal-zero vector D0 = xh | vn is set (D[i+1][c+1] == D[i][c];
-    Hyyrö 2001), and one otherwise. After the last token the diagonal is at
-    the final cell, so its value is the score. A bound above the largest
-    possible distance (prefix length + len(a) + m) never gives up.
+    ends in the final cell from `low`, its value in the current row, which
+    the caller passes as `resume_lower_bound(state, m, len(a))`, and gives up
+    once that value reaches `bound`. Each token moves it one cell down the
+    diagonal: the step costs nothing when bit c of the diagonal-zero vector
+    D0 = xh | vn is set (D[i+1][c+1] == D[i][c]; Hyyrö 2001), and one
+    otherwise. After the last token the diagonal is at the final cell, so its
+    value is the score. A bound above the largest possible distance (prefix
+    length + len(a) + m) never gives up.
     """
-    # resume_lower_bound, inlined: it runs once per call, and TER's shift
-    # search makes a call per candidate
-    vp, vn, score = state
+    vp, vn, _ = state
     c = m - len(a)
-    s = c if c > 0 else 0
-    low = score - (vp >> s).bit_count() + (vn >> s).bit_count() + s - c
     if low >= bound:
         return None
     mask = (1 << m) - 1

@@ -7,6 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+from ..corpus import check_score
 from ..errors import ValidationError
 from .bleu import SIGNATURE, BleuStats, bleu_from_stats, sentence_stats
 from .chrf import chrf
@@ -50,18 +51,16 @@ def evaluate_corpus(
     """Every metric over one corpus."""
     check_parallel(hyps, refs)
     for name, scores in (("embedding", embedding_scores), ("comet", comet_scores)):
-        if scores is None:
-            continue
-        if len(scores) != len(hyps):
+        if scores is not None and len(scores) != len(hyps):
             raise ValidationError(f"{name} scores length {len(scores)} != corpus size {len(hyps)}")
-        # True == 1, so a bool would pass as the score 1.0
-        if any(isinstance(s, bool) for s in scores):
-            raise ValidationError(f"{name} scores contain a bool")
-        if not all(map(math.isfinite, scores)):
-            raise ValidationError(f"{name} scores contain NaN or inf")
-        # a cosine lies in [-1, 1]; COMET's range depends on its model
-        if name == "embedding" and not all(-1.0 <= s <= 1.0 for s in scores):
-            raise ValidationError("embedding scores outside [-1, 1]")
+    if embedding_scores is not None:
+        for s in embedding_scores:
+            check_score(s, "embedding score")
+    # COMET's range depends on its model; True == 1, so a bool would pass as 1.0
+    if comet_scores is not None and any(
+        isinstance(s, bool) or not math.isfinite(s) for s in comet_scores
+    ):
+        raise ValidationError("comet scores contain a bool, NaN or inf")
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]

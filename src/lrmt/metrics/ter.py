@@ -52,7 +52,7 @@ def _scan(
                 if starts[k] >= best_dist:
                     continue
                 tail = block + current[k:i] + after
-                state = levenshtein_resume(tail, ref_masks, ref_len, states[k], best_dist)
+                state = levenshtein_resume(tail, ref_masks, ref_len, states[k], starts[k], best_dist)
                 if state is not None:
                     best_dist = state[2]
                     best = current[:k] + tail
@@ -62,7 +62,7 @@ def _scan(
                 if starts[i] >= best_dist:
                     break
                 tail = after[: k - i] + block + after[k - i :]
-                state = levenshtein_resume(tail, ref_masks, ref_len, states[i], best_dist)
+                state = levenshtein_resume(tail, ref_masks, ref_len, states[i], starts[i], best_dist)
                 if state is not None:
                     best_dist = state[2]
                     best = current[:i] + tail
@@ -73,9 +73,7 @@ def _scan(
     return best, best_dist
 
 
-def _best_shift(
-    current: list[str], ref_masks: Mapping[str, int], ref_len: int, base: int, floor: int
-):
+def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, floor: int):
     """The single block move that reduces edit distance the most.
 
     Every contiguous block up to the size cap is tried at every landing
@@ -127,6 +125,7 @@ def _best_shift(
     n = len(current)
     states = levenshtein_prefix_states(current, ref_masks, ref_len)
     starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
+    base = states[-1][2]  # the distance of `current` itself
     found = _scan(current, ref_masks, ref_len, states, starts, min(base, floor + 2), floor)
     if found is None and floor + 2 < base:
         found = _scan(current, ref_masks, ref_len, states, starts, base, floor + 2)
@@ -153,7 +152,7 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
     dist = levenshtein_masks(current, ref_masks, len(ref))
     floor = _shift_floor(current, ref.tokens) if dist > 1 else 0
     while dist > floor + 1:
-        found = _best_shift(current, ref_masks, len(ref), dist, floor)
+        found = _best_shift(current, ref_masks, len(ref), floor)
         if found is None:
             break
         current, dist = found

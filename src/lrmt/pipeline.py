@@ -141,10 +141,11 @@ class SplitEntry:
     origin: Optional[Origin] = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("split name must be non-empty")
-        if self.size < 0:
-            raise ValidationError(f"split {self.name!r}: negative size")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError(f"split name {self.name!r} is not a non-empty string")
+        # bool is an int subclass; a float or string size is not coerced
+        if type(self.size) is not int or self.size < 0:
+            raise ValidationError(f"split {self.name!r}: size {self.size!r} is not an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ class SplitSpec:
     entries: tuple[SplitEntry, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, str):
+            raise ValidationError(f"split seed {self.seed!r} is not a string")
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate split names: {names}")
@@ -172,33 +175,25 @@ class SplitSpec:
         """Read ``{"seed": str, "splits": [{"name": str, "size": int,
         "origin": str (optional)}, ...]}``.
 
-        Raises IngestError when the file cannot be read as UTF-8 JSON and
-        ValidationError when the spec has the wrong shape or types.
+        Raises IngestError when the file cannot be read as UTF-8 JSON. Raises
+        ValidationError, prefixed by the path, when it is not an object whose
+        ``splits`` is a list of objects, or when a field breaks its type's rule.
         """
         try:
             obj = json.loads(Path(path).read_text("utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IngestError(f"{path}: cannot read split spec: {exc}") from exc
-        if not isinstance(obj, dict) or "seed" not in obj or "splits" not in obj:
-            raise ValidationError(f"{path}: expected object with 'seed' and 'splits'")
-        if not isinstance(obj["seed"], str):
-            raise ValidationError(f"{path}: seed {obj['seed']!r} is not a string")
-        if not isinstance(obj["splits"], list):
-            raise ValidationError(f"{path}: splits {obj['splits']!r} is not a list")
-        entries = []
-        for e in obj["splits"]:
-            if not isinstance(e, dict) or not isinstance(e.get("name"), str):
-                raise ValidationError(f"{path}: split {e!r} has no string 'name'")
-            where = f"{path}: split {e['name']!r}"
-            size, origin = e.get("size"), e.get("origin")
-            # bool is an int subclass; a float or string size is not coerced
-            if type(size) is not int:
-                raise ValidationError(f"{where}: size {size!r} is not an integer")
-            if origin is not None and not isinstance(origin, str):
-                raise ValidationError(f"{where}: origin {origin!r} is not a string")
-            origin = None if origin is None else Origin(origin)
-            entries.append(SplitEntry(name=e["name"], size=size, origin=origin))
-        return cls(seed=obj["seed"], entries=tuple(entries))
+        splits = obj.get("splits") if isinstance(obj, dict) else None
+        if not isinstance(splits, list) or not all(isinstance(e, dict) for e in splits):
+            raise ValidationError(f"{path}: expected an object whose 'splits' is a list of objects")
+        try:
+            entries = []
+            for e in splits:
+                origin = None if e.get("origin") is None else Origin(e["origin"])
+                entries.append(SplitEntry(e.get("name"), e.get("size"), origin))
+            return cls(seed=obj.get("seed"), entries=tuple(entries))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def split(pool: Corpus, spec: SplitSpec) -> dict[str, Corpus]:

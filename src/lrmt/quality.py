@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .corpus import Corpus, SentencePair
+from .corpus import Corpus, SentencePair, check_score
 from .errors import ProviderError, ValidationError
 from .pipeline import hash_sorted
 
@@ -105,18 +105,17 @@ def stratified_sample(
 
 
 def _check_scores(scores: Sequence[float]) -> None:
-    """The score rule of the analysis: at least one score, each in [-1, 1]."""
+    """The analysis needs at least one score, each under `check_score`."""
     if not scores:
         raise ValidationError("the analysis needs at least one score")
     for s in scores:
-        if not -1.0 <= s <= 1.0:  # NaN and +-inf fail too
-            raise ValidationError(f"score {s} outside [-1, 1]")
+        check_score(s, "score")
 
 
 def histogram_csv(scores: Sequence[float]) -> str:
     """CSV of (bin_low, bin_high, count) over 50 equal-width bins on the score
     range [-1, 1]; the last bin is closed. Raises ValidationError on no
-    scores or a score not in [-1, 1], as `analysis_report` does."""
+    scores or a score `check_score` rejects, as `analysis_report` does."""
     _check_scores(scores)
     bins, low, high = 50, -1.0, 1.0
     step = (high - low) / bins
@@ -140,7 +139,7 @@ def analysis_report(
     compensated sums) and a curve of the fraction of scores >= each threshold
     (an inclusive bound). Thresholds must ascend and be NaN-free, so the
     fractions lie in [0, 1] and never increase along the curve. No scores, or
-    a score not in [-1, 1] (NaN included), raises ValidationError.
+    a score `check_score` rejects (a bool, NaN included), raises ValidationError.
 
     `histogram_path` is only recorded, as the caller passes it: the report
     writes no file. A caller that names a histogram writes it there itself,
@@ -212,8 +211,9 @@ class EmbeddingClient:
         # urllib would also open file:// and ftp:// URLs; the service speaks HTTP only
         if not base_url.startswith(("http://", "https://")):
             raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
-        # the socket rejects a negative, NaN or infinite timeout only on first use; 0 is non-blocking
-        if not 0.0 < timeout < math.inf:
+        # the socket rejects a negative, NaN or infinite timeout only on first use; 0 is
+        # non-blocking, and True == 1 would pass as one second
+        if isinstance(timeout, bool) or not 0.0 < timeout < math.inf:
             raise ValidationError(f"embedding timeout must be finite seconds > 0, got {timeout!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout

@@ -63,7 +63,7 @@ class TestLanguageTag:
         assert str(LanguageTag("trp_Latn")) == "trp_Latn"
 
     @pytest.mark.parametrize(
-        "bad", ["en", "eng-Latn", "ENG_Latn", "eng_latn", "eng_LATN", "", "eng_Lat", "eng_Latn\n"]
+        "bad", ["en", "eng-Latn", "ENG_Latn", "eng_latn", "eng_LATN", "", "eng_Lat", "eng_Latn\n", 5]
     )
     def test_invalid(self, bad):
         with pytest.raises(ValidationError):
@@ -80,7 +80,7 @@ class TestOrigin:
     def test_custom(self):
         assert str(Origin("tatoeba")) == "tatoeba"
 
-    @pytest.mark.parametrize("bad", ["", "has space", "tab\there"])
+    @pytest.mark.parametrize("bad", ["", "has space", "tab\there", 5])
     def test_invalid(self, bad):
         with pytest.raises(ValidationError):
             Origin(bad)
@@ -108,6 +108,13 @@ class TestSentencePair:
         assert make_pair(score=0.5).score == 0.5
         with pytest.raises(ValidationError):
             make_pair(score=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value", [("id", 7), ("score", "0.5"), ("score", True), ("score", False)]
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            make_pair(**{field: value})
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

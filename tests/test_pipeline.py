@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -323,6 +324,20 @@ class TestSplit:
         with pytest.raises(ValidationError):
             spec_of("s", ("train", 1))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SplitEntry("dev", 2.5),
+            lambda: SplitEntry("dev", True),
+            lambda: SplitEntry(5, 1),
+            lambda: SplitSpec(seed=1, entries=()),
+        ],
+        ids=["size-float", "size-bool", "name-int", "seed-int"],
+    )
+    def test_types_reject_mistyped_fields(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
     def test_from_json_file(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(
@@ -376,7 +391,7 @@ class TestSplit:
     def test_from_json_file_bad_spec(self, tmp_path, spec):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps(spec), encoding="utf-8")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(p))}: "):
             SplitSpec.from_json_file(p)
 
 

@@ -214,6 +214,7 @@ class TestAnalysisReport:
             [-math.inf],
             [0.5, 7.0],
             [0.0, -1.01],
+            [True],
         ],
     )
     def test_score_rule_shared_with_histogram(self, bad):
@@ -222,7 +223,7 @@ class TestAnalysisReport:
         with pytest.raises(ValidationError) as histogram_error:
             histogram_csv(bad)
         assert str(report_error.value) == str(histogram_error.value)
-        assert re.search(r"at least one score|outside \[-1, 1\]", str(report_error.value))
+        assert re.search(r"at least one score|outside \[-1, 1\]|not a number", str(report_error.value))
 
 
 class TestRetentionCurve:
@@ -468,10 +469,10 @@ class TestEmbeddingClient:
         with pytest.raises(ValidationError):
             EmbeddingClient(url)
 
-    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, True])
     def test_timeout_not_finite_positive(self, timeout):
         # the socket raises ValueError or OverflowError for the first three,
-        # and 0 makes it non-blocking, so every attempt fails
+        # 0 makes it non-blocking, so every attempt fails, and True is no number
         with pytest.raises(ValidationError, match="timeout"):
             EmbeddingClient("http://127.0.0.1:8000", timeout=timeout)
 

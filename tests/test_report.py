@@ -68,12 +68,14 @@ class TestEvaluateCorpus:
     @pytest.mark.parametrize("name", ["embedding_scores", "comet_scores"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected(self, name, bad):
-        with pytest.raises(ValidationError, match="NaN or inf"):
+        # a cosine lies in [-1, 1]; COMET's range depends on its model
+        message = r"embedding score \S+ outside \[-1, 1\]" if name == "embedding_scores" else "NaN or inf"
+        with pytest.raises(ValidationError, match=message):
             evaluate_corpus(HYPS[:1], REFS[:1], **{name: [bad]})
 
     @pytest.mark.parametrize("bad", [5.0, -1.01, math.nextafter(1.0, 2.0), 2])
     def test_embedding_score_outside_cosine_range_rejected(self, bad):
-        with pytest.raises(ValidationError, match=r"embedding scores outside \[-1, 1\]"):
+        with pytest.raises(ValidationError, match=rf"embedding score {bad!r} outside \[-1, 1\]"):
             evaluate_corpus(HYPS[:2], REFS[:2], embedding_scores=[0.5, bad])
 
     def test_embedding_score_range_is_closed(self):
@@ -86,7 +88,8 @@ class TestEvaluateCorpus:
     @pytest.mark.parametrize("name", ["embedding_scores", "comet_scores"])
     @pytest.mark.parametrize("bad", [True, False])
     def test_bool_scores_rejected(self, name, bad):
-        with pytest.raises(ValidationError, match="contain a bool"):
+        message = f"embedding score {bad} is not a number" if name == "embedding_scores" else "contain a bool"
+        with pytest.raises(ValidationError, match=message):
             evaluate_corpus(HYPS[:2], REFS[:2], **{name: [0.5, bad]})
 
     def test_empty_reference_named(self):

@@ -85,10 +85,8 @@ def reference_best_shift(current, ref_masks, ref_len, base):
 
 
 def best_shift(hyp, ref):
-    """_best_shift from hyp's own distance, with the floor ter_sentence gives it."""
-    ref_masks = match_masks(ref)
-    base = levenshtein_masks(hyp, ref_masks, len(ref))
-    return _best_shift(hyp, ref_masks, len(ref), base, _shift_floor(hyp, ref))
+    """_best_shift with the floor ter_sentence gives it."""
+    return _best_shift(hyp, match_masks(ref), len(ref), _shift_floor(hyp, ref))
 
 
 def assert_same_best_shift(hyp, ref):
@@ -132,7 +130,7 @@ def always_floor_ter(hyp, ref):
     dist = levenshtein_masks(current, ref_masks, len(ref))
     floor = _shift_floor(current, ref)
     while dist > floor + 1:
-        found = _best_shift(current, ref_masks, len(ref), dist, floor)
+        found = _best_shift(current, ref_masks, len(ref), floor)
         if found is None:
             break
         current, dist = found
