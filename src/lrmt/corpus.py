@@ -2,7 +2,8 @@
 
 A corpus is an ordered collection of sentence pairs. All text is NFC-normalized
 with whitespace collapsed at ingestion time, so every downstream exact-match
-operation (dedup, overlap verification) compares canonical forms.
+operation (dedup, overlap verification) compares canonical forms. A TSV cell
+is the text verbatim: no text holds a tab, newline or CR, so nothing is escaped.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def check_score(score: object, what: str) -> None:
 @dataclass(frozen=True)
 class SentencePair:
     """One aligned source/target sentence with language tags and provenance.
-    Each field is checked by its type, the score by :func:`check_score`, so
-    readers hand fields over unchecked."""
+    Every field is checked here, the score by :func:`check_score`, so readers
+    hand fields over unchecked."""
 
     id: str
     source_text: str
@@ -96,10 +97,14 @@ class SentencePair:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError(f"sentence pair id {self.id!r} is not a non-empty string")
         for side, text in (("source", self.source_text), ("target", self.target_text)):
-            if not text.strip():
-                raise ValidationError(f"pair {self.id}: {side} text empty after trimming")
+            if not isinstance(text, str) or not text.strip():
+                raise ValidationError(f"pair {self.id}: {side} text {text!r} is not a non-blank string")
             if "\t" in text or "\n" in text or "\r" in text:
                 raise ValidationError(f"pair {self.id}: {side} text contains raw tab/newline")
+        if not (isinstance(self.source_lang, LanguageTag) and isinstance(self.target_lang, LanguageTag)):
+            raise ValidationError(f"pair {self.id}: language tags must be LanguageTags")
+        if not isinstance(self.origin, Origin):
+            raise ValidationError(f"pair {self.id}: origin {self.origin!r} is not an Origin")
         if self.source_lang == self.target_lang:
             raise ValidationError(f"pair {self.id}: source and target language tags are equal")
         if self.score is not None:
@@ -131,23 +136,6 @@ class Corpus:
         return {p.id for p in self.pairs}
 
 
-# TSV field escaping. Backslash must be escaped first so that text containing
-# literal "\t" (backslash + t) survives a round trip.
-
-def escape_field(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
-
-
-_UNESCAPE_RE = re.compile(r"\\([tn\\])")
-_UNESCAPED = {"t": "\t", "n": "\n", "\\": "\\"}
-
-
-def unescape_field(text: str) -> str:
-    if "\\" not in text:
-        return text
-    return _UNESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
-
-
 def ingest(
     path: str | Path,
     format: str | None = None,
@@ -163,11 +151,12 @@ def ingest(
     A missing or unreadable path (a directory, no permission) and bytes
     that are not UTF-8 raise ``IngestError`` too.
 
-    Every row is normalized via :func:`normalize_text`; a JSONL row's other
-    fields go to the types, which check them, and an absent or null one takes
-    the default. Malformed rows are logged and skipped; more than 10% malformed
-    rows is treated as a wrong format and raises. Ids are assigned as
-    ``<origin>:<0-based row index>`` unless a JSONL row supplies its own ``id``.
+    Every text, a TSV cell verbatim, is normalized via :func:`normalize_text`;
+    a JSONL row's other fields go to the types, which check them, and an absent
+    or null one takes the default. Malformed rows are logged and skipped; more
+    than 10% malformed rows is treated as a wrong format and raises. Ids are
+    assigned as ``<origin>:<0-based row index>`` unless a JSONL row supplies
+    its own ``id``.
     """
     path = Path(path)
     if format is None:
@@ -234,8 +223,7 @@ def _parse_row(
         cols = line.split("\t")
         if len(cols) != 2:
             raise ValidationError(f"expected 2 tab-separated columns, got {len(cols)}")
-        src = normalize_text(unescape_field(cols[0]))
-        tgt = normalize_text(unescape_field(cols[1]))
+        src, tgt = map(normalize_text, cols)
     else:
         try:
             obj = json.loads(line)
@@ -269,9 +257,9 @@ def write(corpus: Corpus, path: str | Path, format: str) -> None:
     """Serialize a corpus to TSV or JSONL.
 
     JSONL carries per-pair id, language tags, origin and score, so it is the
-    lossless interchange format; TSV keeps only the two text columns. A path
-    that cannot be opened or written (a missing directory, a directory)
-    raises ``IngestError``.
+    lossless interchange format; TSV keeps only the two texts, each cell the
+    text verbatim. A path that cannot be opened or written (a missing
+    directory, a directory) raises ``IngestError``.
     """
     path = Path(path)
     if format not in ("tsv", "jsonl"):
@@ -280,7 +268,7 @@ def write(corpus: Corpus, path: str | Path, format: str) -> None:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             for pair in corpus.pairs:
                 if format == "tsv":
-                    fh.write(f"{escape_field(pair.source_text)}\t{escape_field(pair.target_text)}\n")
+                    fh.write(f"{pair.source_text}\t{pair.target_text}\n")
                 else:
                     obj: dict[str, object] = {
                         "id": pair.id,

@@ -58,9 +58,10 @@ def evaluate_corpus(
             check_score(s, "embedding score")
     # COMET's range depends on its model; True == 1, so a bool would pass as 1.0
     if comet_scores is not None and any(
-        isinstance(s, bool) or not math.isfinite(s) for s in comet_scores
+        isinstance(s, bool) or not isinstance(s, (int, float)) or not math.isfinite(s)
+        for s in comet_scores
     ):
-        raise ValidationError("comet scores contain a bool, NaN or inf")
+        raise ValidationError("comet scores contain a bool, a non-number, NaN or inf")
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]

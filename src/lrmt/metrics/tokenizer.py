@@ -37,9 +37,6 @@ class TokenizedSentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __iter__(self):
-        return iter(self.tokens)
-
 
 def check_parallel(hyps: Sized, refs: Sized) -> None:
     """Raise ValidationError unless hyps and refs pair up one to one and are

@@ -146,6 +146,8 @@ class SplitEntry:
         # bool is an int subclass; a float or string size is not coerced
         if type(self.size) is not int or self.size < 0:
             raise ValidationError(f"split {self.name!r}: size {self.size!r} is not an integer >= 0")
+        if self.origin is not None and not isinstance(self.origin, Origin):
+            raise ValidationError(f"split {self.name!r}: origin {self.origin!r} is not an Origin")
 
 
 @dataclass(frozen=True)

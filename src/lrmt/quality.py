@@ -212,8 +212,9 @@ class EmbeddingClient:
         if not base_url.startswith(("http://", "https://")):
             raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
         # the socket rejects a negative, NaN or infinite timeout only on first use; 0 is
-        # non-blocking, and True == 1 would pass as one second
-        if isinstance(timeout, bool) or not 0.0 < timeout < math.inf:
+        # non-blocking, True == 1 would pass as one second, and "5" is no number
+        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        if not (number and 0.0 < timeout < math.inf):
             raise ValidationError(f"embedding timeout must be finite seconds > 0, got {timeout!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout

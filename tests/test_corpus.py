@@ -1,6 +1,5 @@
 import json
 import os
-import random
 
 import pytest
 
@@ -11,10 +10,8 @@ from lrmt.corpus import (
     LanguageTag,
     Origin,
     SentencePair,
-    escape_field,
     ingest,
     normalize_text,
-    unescape_field,
     write,
 )
 from lrmt.errors import IngestError, ValidationError
@@ -110,7 +107,17 @@ class TestSentencePair:
             make_pair(score=1.5)
 
     @pytest.mark.parametrize(
-        "field, value", [("id", 7), ("score", "0.5"), ("score", True), ("score", False)]
+        "field, value",
+        [
+            ("id", 7),
+            ("score", "0.5"),
+            ("score", True),
+            ("score", False),
+            ("source_text", 5),
+            ("target_text", None),
+            ("source_lang", "eng_Latn"),
+            ("origin", "smoldoc"),
+        ],
     )
     def test_mistyped_field_rejected(self, field, value):
         with pytest.raises(ValidationError):
@@ -130,66 +137,6 @@ class TestCorpus:
         pairs = [make_pair(i) for i in range(5)]
         c = Corpus(pairs)
         assert list(c) == pairs
-
-
-def reference_unescape(text):
-    """Character-by-character unescape: a backslash before t, n or another
-    backslash makes a tab, a newline or one backslash; any other backslash
-    stays as it is."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-class TestEscaping:
-    @pytest.mark.parametrize(
-        "raw",
-        ["plain", "with\\backslash", "a\\tb", "ends with \\", "\\\\double", "\\n"],
-    )
-    def test_round_trip(self, raw):
-        assert unescape_field(escape_field(raw)) == raw
-
-    def test_escape_order(self):
-        # backslash first: literal "\t" (2 chars) must not collide with an
-        # escaped tab character
-        assert escape_field("a\\tb") == "a\\\\tb"
-        assert escape_field("a\tb") == "a\\tb"
-
-    def test_unescape_control(self):
-        assert unescape_field("a\\tb") == "a\tb"
-        assert unescape_field("a\\nb") == "a\nb"
-
-    def test_unescape_lone_trailing_backslash(self):
-        assert unescape_field("abc\\") == "abc\\"
-
-    def test_unescape_matches_reference(self):
-        rng = random.Random(7)
-        texts = [
-            "".join(rng.choice("ab\\tn x") for _ in range(rng.randrange(13)))
-            for _ in range(20_000)
-        ]
-        assert sum(t.endswith("\\") for t in texts) > 1000
-        assert sum("\\" not in t for t in texts) > 1000
-        for text in texts:
-            assert unescape_field(text) == reference_unescape(text), repr(text)
 
 
 class TestIngestTsv:
@@ -228,9 +175,10 @@ class TestIngestTsv:
         assert c.pairs[0].target_text == "bok nai"
 
     def test_escaped_fields_unescaped(self, tmp_path):
-        p = self.write_tsv(tmp_path, ["a \\\\ b\tc d"])
+        # a cell is the text verbatim: a backslash escapes nothing
+        p = self.write_tsv(tmp_path, ["a \\\\ b\tC:\\new\\table"])
         c = ingest(p, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
-        assert c.pairs[0].source_text == "a \\ b"
+        assert (c.pairs[0].source_text, c.pairs[0].target_text) == ("a \\\\ b", "C:\\new\\table")
 
     @pytest.mark.parametrize("row", ["a b\tc d\textra col", "a\tb\tc\td"])
     def test_extra_columns_malformed(self, tmp_path, caplog, row):
@@ -245,8 +193,8 @@ class TestIngestTsv:
     def test_escaped_tab_stays_in_its_column(self, tmp_path):
         p = self.write_tsv(tmp_path, ["a\\tb\tc d"])
         c = ingest(p, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
-        # the unescaped tab is whitespace, which normalization collapses
-        assert (c.pairs[0].source_text, c.pairs[0].target_text) == ("a b", "c d")
+        # backslash + t is two characters of text, not a tab
+        assert (c.pairs[0].source_text, c.pairs[0].target_text) == ("a\\tb", "c d")
 
     def test_malformed_rows_logged_and_skipped(self, tmp_path, caplog):
         lines = ["ok %d\tbok %d" % (i, i) for i in range(20)] + ["no tab"]
@@ -436,12 +384,14 @@ class TestWrite:
         assert back.pairs == c.pairs
 
     def test_tsv_escapes_backslash(self, tmp_path):
-        c = Corpus([make_pair(0, src="path \\\\ here")])
+        # nothing is escaped: each cell holds the text as it is
+        texts = ["a\\b", "a\\tb", "a\\nb", "path \\\\ here", "ends with \\"]
+        c = Corpus([make_pair(i, src=t) for i, t in enumerate(texts)])
         out = tmp_path / "out.tsv"
         write(c, out, "tsv")
-        assert "\\\\" in out.read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8").splitlines() == [f"{t}\tbok nai kaisa" for t in texts]
         back = ingest(out, "tsv", ENG_LATN, TRP_LATN, SMOLDOC)
-        assert back.pairs[0].source_text == "path \\\\ here"
+        assert [p.source_text for p in back] == texts
 
     def test_jsonl_deterministic_bytes(self, tmp_path):
         c = Corpus([make_pair(i) for i in range(10)])

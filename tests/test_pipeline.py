@@ -331,8 +331,9 @@ class TestSplit:
             lambda: SplitEntry("dev", True),
             lambda: SplitEntry(5, 1),
             lambda: SplitSpec(seed=1, entries=()),
+            lambda: SplitEntry("dev", 1, "smoldoc"),
         ],
-        ids=["size-float", "size-bool", "name-int", "seed-int"],
+        ids=["size-float", "size-bool", "name-int", "seed-int", "origin-str"],
     )
     def test_types_reject_mistyped_fields(self, make):
         with pytest.raises(ValidationError):

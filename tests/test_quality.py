@@ -469,10 +469,11 @@ class TestEmbeddingClient:
         with pytest.raises(ValidationError):
             EmbeddingClient(url)
 
-    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, True])
+    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, True, "5"])
     def test_timeout_not_finite_positive(self, timeout):
         # the socket raises ValueError or OverflowError for the first three,
-        # 0 makes it non-blocking, so every attempt fails, and True is no number
+        # 0 makes it non-blocking, so every attempt fails, and True and "5" are
+        # no numbers
         with pytest.raises(ValidationError, match="timeout"):
             EmbeddingClient("http://127.0.0.1:8000", timeout=timeout)
 

@@ -85,8 +85,16 @@ class TestEvaluateCorpus:
     def test_comet_score_keeps_only_the_finite_rule(self):
         assert evaluate_corpus(HYPS[:2], REFS[:2], comet_scores=[5.0, -3.0]).comet == 1.0
 
-    @pytest.mark.parametrize("name", ["embedding_scores", "comet_scores"])
-    @pytest.mark.parametrize("bad", [True, False])
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            (True, "embedding_scores"),
+            (False, "embedding_scores"),
+            (True, "comet_scores"),
+            (False, "comet_scores"),
+            ("0.5", "comet_scores"),
+        ],
+    )
     def test_bool_scores_rejected(self, name, bad):
         message = f"embedding score {bad} is not a number" if name == "embedding_scores" else "contain a bool"
         with pytest.raises(ValidationError, match=message):
