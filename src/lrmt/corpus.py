@@ -178,8 +178,6 @@ def ingest(
     text = text.removeprefix("\ufeff")
 
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
     if header and lines:
         lines = lines[1:]
 
@@ -188,7 +186,7 @@ def ingest(
     seen_rows = 0
 
     for row_index, line in enumerate(lines):
-        line = line.rstrip("\r")
+        # a CR ending a row is whitespace to normalize_text and json.loads
         if not line.strip():
             continue  # blank lines are skipped, not counted as rows
         seen_rows += 1

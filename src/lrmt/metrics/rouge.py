@@ -7,8 +7,6 @@ from .tokenizer import TokenizedSentence, check_parallel
 
 
 def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
-    if len(hyp) == 0 or len(ref) == 0:
-        return 0.0
     lcs = lcs_length(hyp.tokens, ref.tokens)
     if lcs == 0:
         return 0.0

@@ -41,6 +41,9 @@ class TokenizedSentence:
 def check_parallel(hyps: Sized, refs: Sized) -> None:
     """Raise ValidationError unless hyps and refs pair up one to one and are
     not empty; every corpus metric starts here."""
+    # a str is Sized too, and would be scored character by character
+    if isinstance(hyps, str) or isinstance(refs, str):
+        raise ValidationError("hyps and refs must be sequences of segments, not a string")
     if len(hyps) != len(refs):
         raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
@@ -97,6 +100,8 @@ def tokenize_13a(text: str) -> TokenizedSentence:
     Rule 2 is one regex pass; rule 1 depends on the character alone, so it
     runs second, and only on text that is not ASCII.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"text {text!r} is not a string")
     padded = _PAD_ASCII.sub(r" \g<0> ", text)
     if not padded.isascii():
         pad = [f" {c} " if c > "\x7f" and unicodedata.category(c)[0] == "P" else c for c in padded]

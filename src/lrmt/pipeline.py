@@ -270,27 +270,19 @@ def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:
     return OverlapReport(checked_pairs=checked, collisions=tuple(collisions))
 
 
-def _trailing_rev_run(pair_id: str) -> int:
-    n = 0
-    while pair_id.endswith(":rev"):
-        pair_id = pair_id[: -len(":rev")]
-        n += 1
-    return n
-
-
 def flip_concat(corpus: Corpus) -> Corpus:
-    """Original pairs followed by direction-flipped copies (ids suffixed :rev).
+    """Original pairs followed by direction-flipped copies, each flipped id
+    the original's with ``:rev`` appended.
 
-    The suffix is repeated one more time than the longest trailing :rev run
-    already present, so re-flipping an already-flipped corpus still yields
-    globally unique ids.
+    Flipping an already-flipped corpus (or a JSONL export of one read back by
+    ``ingest``, which keeps its ids) raises ``ValidationError``: a pair ``x``
+    flips to the ``x:rev`` already present, so ``Corpus`` refuses the
+    duplicate id instead of adding every text pair a second time.
     """
-    reps = 1 + max((_trailing_rev_run(p.id) for p in corpus), default=0)
-    suffix = ":rev" * reps
     flipped = [
         replace(
             p,
-            id=f"{p.id}{suffix}",
+            id=f"{p.id}:rev",
             source_text=p.target_text,
             target_text=p.source_text,
             source_lang=p.target_lang,

@@ -154,10 +154,17 @@ class TestChrf:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             chrf(["a"], ["a", "b"])
+        # a str of three characters is not three segments
+        with pytest.raises(ValidationError, match="not a string"):
+            chrf("abc", "abd")
+        with pytest.raises(ValidationError, match="not a string"):
+            chrf("abc", ["a", "b", "c"])
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
             chrf([], [])
+        with pytest.raises(ValidationError, match="not a string"):
+            chrf("", "")
 
     def test_range(self):
         rng = random.Random(47)

@@ -228,6 +228,27 @@ class TestIngestTsv:
         assert len(c) == 2
         assert c.pairs[1].target_text == "nwng"
 
+    @pytest.mark.parametrize(
+        "name, data, header",
+        [
+            pytest.param(
+                "crlf.jsonl",
+                b'{"source": "hello", "target": "bok"}\r\n{"source": "morning", "target": "nwng"}\r\n',
+                False,
+                id="crlf-jsonl",
+            ),
+            pytest.param("crlf.tsv", b"src\ttgt\r\nhello\tbok\r\nmorning\tnwng\r\n", True, id="crlf-tsv-header"),
+            pytest.param("cr.tsv", b"hello\tbok\nmorning\tnwng\n\r", False, id="final-lone-cr"),
+        ],
+    )
+    def test_crlf_variants_tolerated(self, tmp_path, name, data, header):
+        p = tmp_path / name
+        p.write_bytes(data)
+        c = ingest(p, header=header)
+        assert [(q.source_text, q.target_text) for q in c] == [("hello", "bok"), ("morning", "nwng")]
+        # a header row is dropped before rows are counted
+        assert c.ids() == {"other:0", "other:1"}
+
     def test_leading_bom_stripped(self, tmp_path):
         p = tmp_path / "bom.tsv"
         p.write_bytes("\ufeffhello\tbok\n\ufeffmid\tnwng\n".encode("utf-8"))

@@ -10,7 +10,11 @@ are left out). A parameter counts as set when some call in ``src/`` or
 ``__init__``) passes it by keyword or by position; a call that unpacks
 ``*args`` or ``**kwargs`` counts as setting every parameter. Calls in tests do
 not count. An option no such call sets must be listed in ``KEPT`` with the
-reason it stays.
+reason it stays. A call that passes the default's own expression (``ast.dump``
+equal, as ``dedup(key="both")``) sets the option without using another value,
+so an option every setting call sets that way must be listed in
+``DEFAULT_ONLY`` with the reason it stays; an unpacking call's value is
+unknown, so it counts as another value.
 
 A public name nothing reads is a dangling declaration, by the same reasoning.
 The second scan lists each public module-level function, class and assigned
@@ -41,6 +45,13 @@ KEPT = {
     ("EmbeddingClient", "sleep"): "the seam tests use to substitute a fake",
 }
 
+DEFAULT_ONLY = {
+    ("dedup", "key"): "ROADMAP item 3's build recipe chooses the dedup key; 'source' and 'target' "
+    "are the one-sided keys it may name",
+    ("ingest", "source_lang"): "describes an outside file; a trp->en file's source is not English",
+    ("ingest", "target_lang"): "describes an outside file; a trp->en file's target is not Kokborok",
+}
+
 KEPT_NAMES = {
     "SplitSpec.from_json_file": "the only reader of split-spec files, outside input a build recipe is to reuse",
 }
@@ -56,18 +67,19 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _defaulted(fn: ast.FunctionDef, callee: str, skip_first: bool):
-    """(callee, parameter, position as the call sees it or None) per default."""
+    """(callee, parameter, position as the call sees it or None, default
+    expression) per default."""
     a = fn.args
     positional = a.posonlyargs + a.args
     first_default = len(positional) - len(a.defaults)
-    for i, arg in enumerate(positional[first_default:], start=first_default):
-        yield callee, arg.arg, i - skip_first
+    for i, (arg, default) in enumerate(zip(positional[first_default:], a.defaults), start=first_default):
+        yield callee, arg.arg, i - skip_first, default
     for arg, default in zip(a.kwonlyargs, a.kw_defaults):
         if default is not None:
-            yield callee, arg.arg, None
+            yield callee, arg.arg, None, default
 
 
-def declared_options() -> list[tuple[str, str, int | None]]:
+def declared_options() -> list[tuple[str, str, int | None, ast.expr]]:
     options = []
     for path in sorted((ROOT / "src" / "lrmt").rglob("*.py")):
         for node in _parse(path).body:
@@ -101,39 +113,70 @@ def _bare_name(func: ast.expr) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
+def _unpacks(call: ast.Call) -> bool:
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords)
+
+
 def sets(call: ast.Call, param: str, position: int | None) -> bool:
-    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-        return True
-    if any(k.arg == param for k in call.keywords):
+    if _unpacks(call) or any(k.arg == param for k in call.keywords):
         return True
     return position is not None and len(call.args) > position
 
 
+def passes_default(call: ast.Call, param: str, position: int | None, default: ast.expr) -> bool:
+    """Whether a call that sets the parameter passes the default's own expression."""
+    if _unpacks(call):
+        return False
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    if value is None:
+        value = call.args[position]
+    return ast.dump(value) == ast.dump(default)
+
+
 OPTIONS = declared_options()
 CALLS = calls()
+CALLS_BY_NAME: dict[str, list[ast.Call]] = {}
+for _call in CALLS:
+    CALLS_BY_NAME.setdefault(_bare_name(_call.func), []).append(_call)
 
 
 def test_scan_sees_options_and_calls():
     # the scan itself works: options that callers are known to set are found
-    names = {(callee, param) for callee, param, _ in OPTIONS}
+    names = {(callee, param) for callee, param, *_ in OPTIONS}
     assert {("dedup", "key"), ("EmbeddingClient", "timeout"), ("analysis_report", "histogram_path")} <= names
     assert any(_bare_name(c.func) == "score_pairs" for c in CALLS)
 
 
 def test_every_option_has_a_caller():
-    by_name: dict[str, list[ast.Call]] = {}
-    for call in CALLS:
-        by_name.setdefault(_bare_name(call.func), []).append(call)
     unset = {
         (callee, param)
-        for callee, param, position in OPTIONS
-        if not any(sets(call, param, position) for call in by_name.get(callee, ()))
+        for callee, param, position, _ in OPTIONS
+        if not any(sets(call, param, position) for call in CALLS_BY_NAME.get(callee, ()))
     }
     unkept = sorted(f"{callee}({param})" for callee, param in unset - KEPT.keys())
     assert not unkept, f"options no caller sets: {', '.join(unkept)}"
     # an entry whose option is gone or has gained a caller goes too
     stale = sorted(f"{callee}({param})" for callee, param in KEPT.keys() - unset)
     assert not stale, f"KEPT entries that need no reason: {', '.join(stale)}"
+
+
+def default_only_options() -> set[tuple[str, str]]:
+    """Options some call sets, each one to the default's own expression."""
+    found = set()
+    for callee, param, position, default in OPTIONS:
+        setting = [call for call in CALLS_BY_NAME.get(callee, ()) if sets(call, param, position)]
+        if setting and all(passes_default(call, param, position, default) for call in setting):
+            found.add((callee, param))
+    return found
+
+
+def test_passing_the_default_is_not_another_value():
+    default_only = default_only_options()
+    unlisted = sorted(f"{callee}({param})" for callee, param in default_only - DEFAULT_ONLY.keys())
+    assert not unlisted, f"options every caller sets to the default: {', '.join(unlisted)}"
+    # an entry whose option is gone, unset or set to another value goes too
+    stale = sorted(f"{callee}({param})" for callee, param in DEFAULT_ONLY.keys() - default_only)
+    assert not stale, f"DEFAULT_ONLY entries that need no reason: {', '.join(stale)}"
 
 
 def _public(name: str) -> bool:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
+from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair, ingest, write
 from lrmt.errors import IngestError, ValidationError
 from lrmt.pipeline import (
     OverlapReport,
@@ -448,10 +448,16 @@ class TestFlipConcat:
     def test_doubles_size(self):
         assert len(flip_concat(corpus_of(36))) == 72
 
-    def test_twice_no_id_collisions(self):
-        out = flip_concat(flip_concat(corpus_of(9)))
-        assert len(out) == 36
-        assert len(out.ids()) == 36
+    def test_reflip_refused(self):
+        # a second flip would add every text pair again in each direction
+        with pytest.raises(ValidationError, match=r"duplicate pair id '.*:rev'"):
+            flip_concat(flip_concat(corpus_of(9)))
+
+    def test_reflip_of_jsonl_export_refused(self, tmp_path):
+        path = tmp_path / "export.jsonl"
+        write(flip_concat(corpus_of(9)), path, "jsonl")
+        with pytest.raises(ValidationError, match=r"duplicate pair id '.*:rev'"):
+            flip_concat(ingest(path))
 
     def test_preserves_unordered_text_multiset(self):
         c = corpus_of(12)

@@ -111,6 +111,12 @@ class TestEvaluateCorpus:
             evaluate_corpus(HYPS, REFS[:2])
         with pytest.raises(ValidationError):
             evaluate_corpus([], [])
+        # a str is a sequence of characters, not of segments; a segment is a str
+        bad = [("ab", "ab"), ("the cat", "the dog"), ("ab", ["a", "b"]), (["a", "b"], "ab")]
+        bad += [(["a b", None], ["a b", "c"]), (["a b", "c"], ["a b", 3])]
+        for hyps, refs in bad:
+            with pytest.raises(ValidationError, match="not a string"):
+                evaluate_corpus(hyps, refs)
 
 
 class TestMetricReport:

@@ -49,6 +49,11 @@ class TestRules:
         s = "a, b. c 3.14 «d»"
         assert tokenize_13a(s).tokens == tokenize_13a(s).tokens
 
+    @pytest.mark.parametrize("text", [None, 3, b"a b", ["a", "b"]])
+    def test_non_string_rejected(self, text):
+        with pytest.raises(ValidationError, match="is not a string"):
+            tokenize_13a(text)
+
 
 class TestTokenizedSentence:
     def test_invariants_enforced(self):
