@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -69,14 +70,31 @@ def normalize_text(raw: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", raw)).strip()
 
 
-def check_score(score: object, what: str) -> None:
-    """The similarity-score rule: an int or float (a cosine), not a bool, in
-    [-1, 1]; NaN and +-inf fail. Raises ValidationError naming `what`."""
+def check_number(x: object, what: str, low: float, high: float) -> None:
+    """The number rule: an int or float, not a bool, finite, in [low, high].
+    A bound may be infinite, so (-inf, inf) asks only for a finite number.
+    Raises ValidationError naming `what`."""
     # bool is an int subclass, and a numeric string is not a number
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise ValidationError(f"{what} {score!r} is not a number")
-    if not -1.0 <= score <= 1.0:
-        raise ValidationError(f"{what} {score!r} outside [-1, 1]")
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"{what} {x!r} is not a number")
+    # comparisons, unlike math.isfinite, take an int too large for a float
+    if not -math.inf < x < math.inf:
+        raise ValidationError(f"{what} {x!r} is NaN or inf")
+    if not low <= x <= high:
+        raise ValidationError(f"{what} {x!r} outside [{low:g}, {high:g}]")
+
+
+def check_count(x: object, what: str, low: int) -> None:
+    """The count rule: an exact int, so not a bool or a float, at least `low`.
+    Raises ValidationError naming `what`."""
+    if type(x) is not int or x < low:
+        raise ValidationError(f"{what} {x!r} is not an integer >= {low}")
+
+
+def check_score(score: object, what: str) -> None:
+    """The similarity-score rule: :func:`check_number` on [-1, 1], the range
+    of a cosine."""
+    check_number(score, what, -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from ..corpus import check_score
+from ..corpus import check_number, check_score
 from ..errors import ValidationError
 from .bleu import SIGNATURE, BleuStats, bleu_from_stats, sentence_stats
 from .chrf import chrf
@@ -48,7 +48,8 @@ def evaluate_corpus(
     embedding_scores: Optional[Sequence[float]] = None,
     comet_scores: Optional[Sequence[float]] = None,
 ) -> MetricReport:
-    """Every metric over one corpus."""
+    """Every metric over one corpus. Embedding scores follow `check_score`,
+    COMET scores `check_number` with no range limit."""
     check_parallel(hyps, refs)
     for name, scores in (("embedding", embedding_scores), ("comet", comet_scores)):
         if scores is not None and len(scores) != len(hyps):
@@ -56,12 +57,9 @@ def evaluate_corpus(
     if embedding_scores is not None:
         for s in embedding_scores:
             check_score(s, "embedding score")
-    # COMET's range depends on its model; True == 1, so a bool would pass as 1.0
-    if comet_scores is not None and any(
-        isinstance(s, bool) or not isinstance(s, (int, float)) or not math.isfinite(s)
-        for s in comet_scores
-    ):
-        raise ValidationError("comet scores contain a bool, a non-number, NaN or inf")
+    if comet_scores is not None:
+        for s in comet_scores:  # COMET's range depends on its model
+            check_number(s, "comet score", -math.inf, math.inf)
 
     hyp_tok = [tokenize_13a(h) for h in hyps]
     ref_tok = [tokenize_13a(r) for r in refs]

@@ -50,6 +50,13 @@ def check_parallel(hyps: Sized, refs: Sized) -> None:
         raise ValidationError("empty corpus")
 
 
+def check_text(text: object) -> None:
+    """The segment rule: a text is a str, so bytes and None raise
+    ValidationError; every per-segment function that reads text starts here."""
+    if not isinstance(text, str):
+        raise ValidationError(f"text {text!r} is not a string")
+
+
 def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int, int, int], ...]:
     """Per-order (clipped matches, hyp n-grams, ref n-grams) of one segment,
     for orders 1..max_order.
@@ -100,8 +107,7 @@ def tokenize_13a(text: str) -> TokenizedSentence:
     Rule 2 is one regex pass; rule 1 depends on the character alone, so it
     runs second, and only on text that is not ASCII.
     """
-    if not isinstance(text, str):
-        raise ValidationError(f"text {text!r} is not a string")
+    check_text(text)
     padded = _PAD_ASCII.sub(r" \g<0> ", text)
     if not padded.isascii():
         pad = [f" {c} " if c > "\x7f" and unicodedata.category(c)[0] == "P" else c for c in padded]

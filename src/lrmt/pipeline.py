@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Corpus, Origin, SentencePair
+from .corpus import Corpus, Origin, SentencePair, check_count
 from .errors import IngestError, ValidationError
 
 DEDUP_KEYS = ("source", "target", "both")
@@ -71,9 +71,13 @@ def word_count(text: str) -> int:
 
 
 def filter_length(corpus: Corpus, min_words: int, max_words: int) -> Corpus:
-    """Keep pairs whose source side has a word count in [min_words, max_words]."""
-    if not 1 <= min_words <= max_words:
-        raise ValidationError(f"need 1 <= min_words <= max_words, got {min_words}..{max_words}")
+    """Keep pairs whose source side has a word count in [min_words, max_words].
+
+    Both bounds follow the count rule (:func:`~lrmt.corpus.check_count`):
+    `min_words` at least 1, `max_words` at least `min_words`.
+    """
+    check_count(min_words, "min_words", 1)
+    check_count(max_words, "max_words", min_words)
     kept = []
     for pair in corpus:
         if min_words <= word_count(pair.source_text) <= max_words:
@@ -143,9 +147,7 @@ class SplitEntry:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"split name {self.name!r} is not a non-empty string")
-        # bool is an int subclass; a float or string size is not coerced
-        if type(self.size) is not int or self.size < 0:
-            raise ValidationError(f"split {self.name!r}: size {self.size!r} is not an integer >= 0")
+        check_count(self.size, f"split {self.name!r}: size", 0)
         if self.origin is not None and not isinstance(self.origin, Origin):
             raise ValidationError(f"split {self.name!r}: origin {self.origin!r} is not an Origin")
 

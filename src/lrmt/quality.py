@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .corpus import Corpus, SentencePair, check_score
+from .corpus import Corpus, SentencePair, check_count, check_number, check_score
 from .errors import ProviderError, ValidationError
 from .pipeline import hash_sorted
 
@@ -31,9 +31,12 @@ MAX_ATTEMPTS = 3  # tries per embed request before a transient failure is final
 
 
 def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpus]:
-    """Split into (kept: score >= threshold, dropped). Threshold -1 keeps all."""
-    if math.isnan(threshold):
-        raise ValidationError("filter_by_threshold got a NaN threshold")
+    """Split into (kept: score >= threshold, dropped). Threshold -1 keeps all.
+
+    The threshold follows the number rule (:func:`~lrmt.corpus.check_number`)
+    with no range limit: any finite number, so a bool, NaN or +-inf raises.
+    """
+    check_number(threshold, "threshold", -math.inf, math.inf)
     kept: list[SentencePair] = []
     dropped: list[SentencePair] = []
     for pair in corpus:
@@ -80,11 +83,18 @@ def stratified_sample(
     Each band takes its first per_band members in hash_sorted order, the
     order split uses, so the same seed always yields the same sample. Bands
     shorter than per_band are reported as warnings, not errors.
+
+    Band bounds follow the number rule (:func:`~lrmt.corpus.check_number`)
+    with no range limit, and per_band the count rule
+    (:func:`~lrmt.corpus.check_count`), at least 1; the seed is a str.
     """
-    if per_band < 1:
-        raise ValidationError(f"per_band must be >= 1, got {per_band}")
+    check_count(per_band, "per_band", 1)
+    if not isinstance(seed, str):
+        raise ValidationError(f"sample seed {seed!r} is not a string")
     for low, high in bands:
-        if not low < high:  # also catches a NaN bound
+        check_number(low, "band low", -math.inf, math.inf)
+        check_number(high, "band high", -math.inf, math.inf)
+        if not low < high:
             raise ValidationError(f"empty band [{low},{high})")
     spans = sorted(bands)
     for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
@@ -137,17 +147,18 @@ def analysis_report(
     """JSON-ready summary of the scores, with the conventions it uses: `n`,
     `mean`, the population `std` (N denominator, not N-1; both by two-pass
     compensated sums) and a curve of the fraction of scores >= each threshold
-    (an inclusive bound). Thresholds must ascend and be NaN-free, so the
-    fractions lie in [0, 1] and never increase along the curve. No scores, or
-    a score `check_score` rejects (a bool, NaN included), raises ValidationError.
+    (an inclusive bound). Thresholds must ascend, each under the number rule
+    (:func:`~lrmt.corpus.check_number`) with no range limit, so the fractions
+    lie in [0, 1] and never increase along the curve. No scores, or a score
+    `check_score` rejects (a bool, NaN included), raises ValidationError.
 
     `histogram_path` is only recorded, as the caller passes it: the report
     writes no file. A caller that names a histogram writes it there itself,
     for instance the text of `histogram_csv(scores)`.
     """
     _check_scores(scores)
-    if any(map(math.isnan, thresholds)):
-        raise ValidationError("analysis_report got a NaN threshold")
+    for t in thresholds:
+        check_number(t, "threshold", -math.inf, math.inf)
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValidationError("thresholds must be sorted ascending")
     n = len(scores)
@@ -199,7 +210,8 @@ class EmbeddingClient:
     exponential backoff, up to MAX_ATTEMPTS attempts per request. Any other
     4xx means the request itself is wrong and fails after one attempt, and a
     2xx body that is not JSON or breaks the contract fails fast; all of these
-    raise ProviderError. `timeout` is in seconds, per attempt.
+    raise ProviderError. `timeout` is in seconds, per attempt: a number under
+    :func:`~lrmt.corpus.check_number` on [0, inf], and not 0.
     """
 
     def __init__(
@@ -211,11 +223,10 @@ class EmbeddingClient:
         # urllib would also open file:// and ftp:// URLs; the service speaks HTTP only
         if not base_url.startswith(("http://", "https://")):
             raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
-        # the socket rejects a negative, NaN or infinite timeout only on first use; 0 is
-        # non-blocking, True == 1 would pass as one second, and "5" is no number
-        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
-        if not (number and 0.0 < timeout < math.inf):
-            raise ValidationError(f"embedding timeout must be finite seconds > 0, got {timeout!r}")
+        # the socket rejects a negative, NaN or infinite timeout only on first use
+        check_number(timeout, "embedding timeout", 0.0, math.inf)
+        if timeout == 0:  # a non-blocking socket: every attempt would fail
+            raise ValidationError(f"embedding timeout {timeout!r} is not > 0")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self._sleep = sleep

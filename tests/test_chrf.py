@@ -159,6 +159,10 @@ class TestChrf:
             chrf("abc", "abd")
         with pytest.raises(ValidationError, match="not a string"):
             chrf("abc", ["a", "b", "c"])
+        # a segment is a str, on either side
+        for hyps, refs in ((["a", None], ["a", "b"]), (["a", "b"], ["a", 5]), ([b"a"], ["a"]), (["a"], [b"a"])):
+            with pytest.raises(ValidationError, match="not a string"):
+                chrf(hyps, refs)
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):

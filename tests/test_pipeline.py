@@ -329,11 +329,14 @@ class TestSplit:
         [
             lambda: SplitEntry("dev", 2.5),
             lambda: SplitEntry("dev", True),
+            lambda: SplitEntry("dev", None),
+            lambda: SplitEntry("dev", "1"),
+            lambda: SplitEntry("dev", -1),
             lambda: SplitEntry(5, 1),
             lambda: SplitSpec(seed=1, entries=()),
             lambda: SplitEntry("dev", 1, "smoldoc"),
         ],
-        ids=["size-float", "size-bool", "name-int", "seed-int", "origin-str"],
+        ids=["size-float", "size-bool", "size-none", "size-str", "size-negative", "name-int", "seed-int", "origin-str"],
     )
     def test_types_reject_mistyped_fields(self, make):
         with pytest.raises(ValidationError):

@@ -12,7 +12,8 @@ import pytest
 
 from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
 from lrmt.errors import ProviderError, ValidationError
-from lrmt.pipeline import SplitEntry, SplitSpec, sample_key, split
+from lrmt.metrics import evaluate_corpus
+from lrmt.pipeline import SplitEntry, SplitSpec, filter_length, sample_key, split
 from lrmt.quality import (
     EMBED_BATCH,
     EmbeddingClient,
@@ -156,7 +157,7 @@ class TestHistogram:
 
     def test_out_of_range_and_non_finite_rejected(self):
         for bad in (-1.5, 1.5, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan):
-            with pytest.raises(ValidationError, match="outside"):
+            with pytest.raises(ValidationError, match="outside|NaN or inf"):
                 histogram_csv([0.25, bad, 0.5])
 
     def test_no_scores(self):
@@ -223,7 +224,7 @@ class TestAnalysisReport:
         with pytest.raises(ValidationError) as histogram_error:
             histogram_csv(bad)
         assert str(report_error.value) == str(histogram_error.value)
-        assert re.search(r"at least one score|outside \[-1, 1\]|not a number", str(report_error.value))
+        assert re.search(r"at least one score|outside \[-1, 1\]|NaN or inf|not a number", str(report_error.value))
 
 
 class TestRetentionCurve:
@@ -365,18 +366,31 @@ class TestStratifiedSample:
             (((0.0, math.nan),), 2),
             (((math.nan, 0.5),), 2),
             (((-1.0, 0.0), (0.0, math.nan)), 2),
+            (((0.0, math.inf),), 2),
+            (((-math.inf, 0.0),), 2),
+            (((None, 0.5),), 2),
+            (((0.0, "1"),), 2),
             (BANDS, 0),
             (BANDS, -1),
+            (BANDS, 2.0),
+            (BANDS, True),
         ],
         ids=[
             "overlap", "overlap-unsorted", "empty", "share-closed-top", "reversed", "nan-high", "nan-low",
-            "nan-second", "per-band-0", "per-band-negative",
+            "nan-second", "inf-high", "inf-low", "none-low", "str-high", "per-band-0", "per-band-negative",
+            "per-band-float", "per-band-bool",
         ],
     )
     def test_rejects(self, bands, per_band):
         pool = _scored_pool(random.Random(17), 10)
         with pytest.raises(ValidationError):
             stratified_sample(pool, bands, per_band, seed="s")
+
+    @pytest.mark.parametrize("seed", [5, None, b"s"])
+    def test_rejects_seed_not_a_string(self, seed):
+        pool = _scored_pool(random.Random(17), 10)
+        with pytest.raises(ValidationError, match=re.escape(f"sample seed {seed!r} is not a string")):
+            stratified_sample(pool, self.BANDS, 2, seed=seed)
 
     def test_rejects_unscored_pair(self):
         pool = _scored_pool(random.Random(17), 10)
@@ -469,7 +483,7 @@ class TestEmbeddingClient:
         with pytest.raises(ValidationError):
             EmbeddingClient(url)
 
-    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, True, "5"])
+    @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, 0, True, "5", None])
     def test_timeout_not_finite_positive(self, timeout):
         # the socket raises ValueError or OverflowError for the first three,
         # 0 makes it non-blocking, so every attempt fails, and True and "5" are
@@ -516,3 +530,56 @@ class TestEmbeddingClient:
         with pytest.raises(ScoringError, match="stopped at pair p0: .*overflow") as info:
             score_pairs(Corpus(pairs), client)
         assert [p.score for p in info.value.partial] == [None, None]
+
+
+# --- the number rule, across every numeric argument ---
+
+_POOL = _scored_pool(random.Random(19), 6)
+
+
+def _score_pair(score):
+    return SentencePair("p0", "a", "b", ENG_LATN, TRP_LATN, SMOLSENT, score=score)
+
+
+# argument -> (call with the value, the name its error gives, values outside its
+# range, a boundary value that passes). Thresholds, band bounds and COMET
+# scores have no range limit: only +-inf lies outside. A count is an exact int.
+NUMERIC_ARGUMENTS = {
+    "filter_by_threshold": (lambda x: filter_by_threshold(_POOL, x), "threshold", [], 1.5),
+    "analysis_report": (lambda x: analysis_report([0.5], [x]), "threshold", [], 1.5),
+    "band-low": (lambda x: stratified_sample(_POOL, [(x, 2.0)], 1, "s"), "band low", [], -1.0),
+    "band-high": (lambda x: stratified_sample(_POOL, [(-1.0, x)], 1, "s"), "band high", [], 2.0),
+    "per_band": (lambda x: stratified_sample(_POOL, [(-1.0, 2.0)], x, "s"), "per_band", [0, 1.0], 1),
+    "min_words": (lambda x: filter_length(_POOL, x, 5), "min_words", [0, 1.0], 1),
+    "max_words": (lambda x: filter_length(_POOL, 2, x), "max_words", [1, 2.0], 2),
+    "split-size": (lambda x: SplitEntry("dev", x), "size", [-1, 0.0], 0),
+    "timeout": (lambda x: EmbeddingClient("http://127.0.0.1:8000", timeout=x), "embedding timeout", [0, -1.0], 0.001),
+    "pair-score": (_score_pair, "pair p0: score", [math.nextafter(1.0, 2.0), -1.5], -1.0),
+    "embedding-score": (
+        lambda x: evaluate_corpus(["a b"], ["a b"], embedding_scores=[x]), "embedding score", [1.5], 1.0
+    ),
+    "comet-score": (lambda x: evaluate_corpus(["a b"], ["a b"], comet_scores=[x]), "comet score", [], -3.0),
+}
+NOT_NUMBERS = [True, "0.5", None, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "argument, bad",
+    [
+        (arg, bad)
+        for arg, (*_, outside, _) in NUMERIC_ARGUMENTS.items()
+        for bad in NOT_NUMBERS + outside
+        if not (arg == "pair-score" and bad is None)  # None is an unscored pair's score
+    ],
+)
+def test_numeric_argument_rejects(argument, bad):
+    call, what, *_ = NUMERIC_ARGUMENTS[argument]
+    # ValidationError, never TypeError, AttributeError or an accepted value
+    with pytest.raises(ValidationError, match=re.escape(what)):
+        call(bad)
+
+
+@pytest.mark.parametrize("argument", NUMERIC_ARGUMENTS)
+def test_numeric_argument_boundary_passes(argument):
+    call, *_, boundary = NUMERIC_ARGUMENTS[argument]
+    call(boundary)
