@@ -486,8 +486,8 @@ class TestEmbeddingClient:
     @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, 0, True, "5", None])
     def test_timeout_not_finite_positive(self, timeout):
         # the socket raises ValueError or OverflowError for the first three,
-        # 0 makes it non-blocking, so every attempt fails, and True and "5" are
-        # no numbers
+        # 0 makes it non-blocking, so every attempt fails, and True, "5" and None
+        # are no numbers
         with pytest.raises(ValidationError, match="timeout"):
             EmbeddingClient("http://127.0.0.1:8000", timeout=timeout)
 
@@ -552,7 +552,7 @@ NUMERIC_ARGUMENTS = {
     "per_band": (lambda x: stratified_sample(_POOL, [(-1.0, 2.0)], x, "s"), "per_band", [0, 1.0], 1),
     "min_words": (lambda x: filter_length(_POOL, x, 5), "min_words", [0, 1.0], 1),
     "max_words": (lambda x: filter_length(_POOL, 2, x), "max_words", [1, 2.0], 2),
-    "split-size": (lambda x: SplitEntry("dev", x), "size", [-1, 0.0], 0),
+    "split-size": (lambda x: SplitEntry("dev", x), "split 'dev': size", [-1, 0.0], 0),
     "timeout": (lambda x: EmbeddingClient("http://127.0.0.1:8000", timeout=x), "embedding timeout", [0, -1.0], 0.001),
     "pair-score": (_score_pair, "pair p0: score", [math.nextafter(1.0, 2.0), -1.5], -1.0),
     "embedding-score": (
