@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,6 +71,14 @@ def normalize_text(raw: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", raw)).strip()
 
 
+def _shown(x: object) -> str:
+    """repr(x), but an int beyond float range by its size: repr raises
+    ValueError on an int of more than sys.get_int_max_str_digits() digits."""
+    if isinstance(x, int) and x.bit_length() > sys.float_info.max_exp:
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+    return repr(x)
+
+
 def check_number(x: object, what: str, low: float, high: float) -> None:
     """The number rule: an int or float, not a bool, finite, in [low, high].
     A bound may be infinite, so (-inf, inf) asks only for a finite number.
@@ -81,14 +90,14 @@ def check_number(x: object, what: str, low: float, high: float) -> None:
     if not -math.inf < x < math.inf:
         raise ValidationError(f"{what} {x!r} is NaN or inf")
     if not low <= x <= high:
-        raise ValidationError(f"{what} {x!r} outside [{low:g}, {high:g}]")
+        raise ValidationError(f"{what} {_shown(x)} outside [{low:g}, {high:g}]")
 
 
 def check_count(x: object, what: str, low: int) -> None:
     """The count rule: an exact int, so not a bool or a float, at least `low`.
     Raises ValidationError naming `what`."""
     if type(x) is not int or x < low:
-        raise ValidationError(f"{what} {x!r} is not an integer >= {low}")
+        raise ValidationError(f"{what} {_shown(x)} is not an integer >= {low}")
 
 
 def check_score(score: object, what: str) -> None:
@@ -196,7 +205,7 @@ def ingest(
     text = text.removeprefix("\ufeff")
 
     lines = text.split("\n")
-    if header and lines:
+    if header:
         lines = lines[1:]
 
     pairs: list[SentencePair] = []
@@ -216,7 +225,7 @@ def ingest(
             continue
         pairs.append(pair)
 
-    if seen_rows and malformed * 10 > seen_rows:
+    if malformed * 10 > seen_rows:
         raise IngestError(
             f"{path}: {malformed}/{seen_rows} rows malformed (>10%), "
             "likely the wrong format"
@@ -243,7 +252,7 @@ def _parse_row(
     else:
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise ValidationError(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValidationError("row is not a JSON object")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .tokenizer import check_parallel, check_text, ngram_stats
+from .tokenizer import check_parallel, check_text, f_measure, ngram_stats
 
 # chrF2 as defined by Popović (2015): character n-grams of orders 1..6, recall
 # weighted twice as much as precision
@@ -20,7 +20,7 @@ def chrf_stats(hyp: str, ref: str) -> tuple[tuple[int, int, int], ...]:
 
 
 def chrf(hyps: list[str], refs: list[str]) -> float:
-    """Mean F_BETA over char n-gram orders 1..CHAR_ORDER, scaled to 0..100.
+    """Mean f_measure at beta BETA (2) over char orders 1..CHAR_ORDER, scaled to 0..100.
 
     Statistics are summed across the corpus before the F computation. Orders
     where neither side produced any n-grams are left out of the mean; an order
@@ -28,18 +28,11 @@ def chrf(hyps: list[str], refs: list[str]) -> float:
     """
     check_parallel(hyps, refs)
     segments = [chrf_stats(h, r) for h, r in zip(hyps, refs)]
-    f_sum = 0.0
-    active_orders = 0
-    b2 = BETA * BETA
+    f_sum, active_orders = 0.0, 0
     for order in zip(*segments):
         matched, hyp_total, ref_total = map(sum, zip(*order))
-        if hyp_total == 0 and ref_total == 0:
-            continue
-        active_orders += 1
-        p = matched / hyp_total if hyp_total else 0.0
-        r = matched / ref_total if ref_total else 0.0
-        if b2 * p + r > 0:
-            f_sum += (1 + b2) * p * r / (b2 * p + r)
-    if active_orders == 0:
-        return 0.0
-    return 100.0 * f_sum / active_orders
+        if hyp_total or ref_total:
+            # += adds left to right; sum() of floats compensates from Python 3.12
+            f_sum += f_measure(matched, hyp_total, ref_total, BETA)
+            active_orders += 1
+    return 100.0 * f_sum / active_orders if active_orders else 0.0

@@ -1,9 +1,9 @@
 """Exact-match alignment metric with a fragmentation penalty (METEOR's exact
-stage; Banerjee & Lavie 2005)."""
+stage; Banerjee & Lavie 2005): Fmean, f_measure with beta 3, times the penalty."""
 
 from __future__ import annotations
 
-from .tokenizer import TokenizedSentence, check_parallel
+from .tokenizer import TokenizedSentence, check_parallel, f_measure
 
 
 def _align(hyp: tuple[str, ...], ref: tuple[str, ...]) -> list[tuple[int, int]]:
@@ -35,12 +35,10 @@ def meteor_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
     matches = _align(hyp.tokens, ref.tokens)
     m = len(matches)
     if m == 0:
-        return 0.0
-    p = m / len(hyp)
-    r = m / len(ref)
-    f_mean = 10 * p * r / (r + 9 * p)
+        return 0.0  # the penalty divides by m
     penalty = 0.5 * (_chunks(matches) / m) ** 3
-    return f_mean * (1.0 - penalty)
+    # Fmean = 10PR / (R + 9P) is F_3
+    return f_measure(m, len(hyp), len(ref), 3.0) * (1.0 - penalty)
 
 
 def meteor_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:

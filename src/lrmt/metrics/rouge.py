@@ -1,18 +1,13 @@
-"""ROUGE-L: longest-common-subsequence F1."""
+"""ROUGE-L: longest-common-subsequence F1 (f_measure with beta 1)."""
 
 from __future__ import annotations
 
 from ._kernels import lcs_length
-from .tokenizer import TokenizedSentence, check_parallel
+from .tokenizer import TokenizedSentence, check_parallel, f_measure
 
 
 def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
-    lcs = lcs_length(hyp.tokens, ref.tokens)
-    if lcs == 0:
-        return 0.0
-    p = lcs / len(hyp)
-    r = lcs / len(ref)
-    return 2 * p * r / (p + r)
+    return f_measure(lcs_length(hyp.tokens, ref.tokens), len(hyp), len(ref), 1.0)
 
 
 def rouge_l_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:

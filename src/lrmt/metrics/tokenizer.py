@@ -1,10 +1,11 @@
-"""Reference tokenizer, corpus check and n-gram counter shared by the metrics.
+"""Reference tokenizer, corpus check, n-gram counter and F-measure shared by the metrics.
 
 A small, frozen rule set ("13a-lite"): pad punctuation with spaces, keep
 decimal/thousands separators and in-abbreviation periods attached, split on
 whitespace. The rules are locked by a golden-file test; changing them changes
 every metric, so don't. The n-gram counter skips a pair's shared prefix and
 suffix, whose n-grams match one for one, and adds their count exactly.
+`f_measure` is the one F_beta formula: chrF, ROUGE-L and METEOR call it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,17 @@ def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int
                 matched += 1
         stats.append((matched, max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0)))
     return tuple(stats)
+
+
+def f_measure(matches: int, hyp_total: int, ref_total: int, beta: float) -> float:
+    """F_beta of precision matches / hyp_total and recall matches / ref_total
+    (beta > 1 favors recall); 0.0 when nothing matches, so no total divides."""
+    if matches == 0:
+        return 0.0
+    b2 = beta * beta
+    p = matches / hyp_total
+    r = matches / ref_total
+    return (1 + b2) * p * r / (b2 * p + r)
 
 
 def tokenize_13a(text: str) -> TokenizedSentence:

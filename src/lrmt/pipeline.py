@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Corpus, Origin, SentencePair, check_count
+from .corpus import ENG_LATN, Corpus, Origin, SentencePair, check_count
 from .errors import IngestError, ValidationError
 
 DEDUP_KEYS = ("source", "target", "both")
@@ -105,17 +105,24 @@ def stopword_ratio(text: str, stopwords: frozenset[str]) -> float:
 def detect_swapped_rows(corpus: Corpus) -> list[str]:
     """Ids of pairs whose columns look reversed.
 
-    A pair is flagged when the target side beats the source side on
-    stopword-hit ratio, measured against the bundled English list
-    (:func:`load_stopwords`), while the source side itself looks non-English
-    (ratio below 0.05). Detection only; repair is :func:`swap_rows`.
+    The side tagged ``eng_Latn`` is judged against the other side, so an
+    en→trp and a trp→en pair are judged alike. A pair is flagged when the
+    other side beats the English side on stopword-hit ratio, measured against
+    the bundled English list (:func:`load_stopwords`), while the English side
+    itself looks non-English (ratio below 0.05). A pair with no ``eng_Latn``
+    side is never flagged. Detection only; repair is :func:`swap_rows`.
     """
     stopwords = load_stopwords()
     flagged = []
     for pair in corpus:
-        src_ratio = stopword_ratio(pair.source_text, stopwords)
-        tgt_ratio = stopword_ratio(pair.target_text, stopwords)
-        if tgt_ratio > src_ratio and src_ratio < 0.05:
+        if pair.source_lang == ENG_LATN:
+            eng, other = pair.source_text, pair.target_text
+        elif pair.target_lang == ENG_LATN:
+            eng, other = pair.target_text, pair.source_text
+        else:
+            continue
+        eng_ratio = stopword_ratio(eng, stopwords)
+        if stopword_ratio(other, stopwords) > eng_ratio and eng_ratio < 0.05:
             flagged.append(pair.id)
     return flagged
 
@@ -183,9 +190,10 @@ class SplitSpec:
         ValidationError, prefixed by the path, when it is not an object whose
         ``splits`` is a list of objects, or when a field breaks its type's rule.
         """
+        # ValueError: bad UTF-8, bad JSON, or an int of too many digits
         try:
             obj = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise IngestError(f"{path}: cannot read split spec: {exc}") from exc
         splits = obj.get("splits") if isinstance(obj, dict) else None
         if not isinstance(splits, list) or not all(isinstance(e, dict) for e in splits):

@@ -84,19 +84,25 @@ def stratified_sample(
     order split uses, so the same seed always yields the same sample. Bands
     shorter than per_band are reported as warnings, not errors.
 
-    Band bounds follow the number rule (:func:`~lrmt.corpus.check_number`)
+    ``bands`` is a list or tuple of (low, high) pairs, each a list or tuple,
+    whose bounds follow the number rule (:func:`~lrmt.corpus.check_number`)
     with no range limit, and per_band the count rule
     (:func:`~lrmt.corpus.check_count`), at least 1; the seed is a str.
     """
     check_count(per_band, "per_band", 1)
     if not isinstance(seed, str):
         raise ValidationError(f"sample seed {seed!r} is not a string")
-    for low, high in bands:
+    if not isinstance(bands, (list, tuple)):
+        raise ValidationError(f"bands {bands!r} is not a list or tuple of (low, high) bands")
+    for band in bands:
+        if not (isinstance(band, (list, tuple)) and len(band) == 2):
+            raise ValidationError(f"band {band!r} is not a (low, high) pair")
+        low, high = band
         check_number(low, "band low", -math.inf, math.inf)
         check_number(high, "band high", -math.inf, math.inf)
         if not low < high:
             raise ValidationError(f"empty band [{low},{high})")
-    spans = sorted(bands)
+    spans = sorted(map(tuple, bands))  # a list and a tuple do not compare
     for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
         if b_lo < a_hi or b_lo == a_hi == TOP_SCORE:
             raise ValidationError(f"bands overlap: [{a_lo},{a_hi}) and [{b_lo},{b_hi})")

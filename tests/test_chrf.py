@@ -41,6 +41,27 @@ def oracle_chrf(hyps, refs, char_order=CHAR_ORDER, beta=BETA):
     return 100.0 * sum(f_values) / len(f_values)
 
 
+def hand_written_f_chrf(hyps, refs):
+    """chrf as written before f_measure, kept as the reference it must equal
+    exactly: its own F_BETA formula and zero guards."""
+    segments = [chrf_stats(h, r) for h, r in zip(hyps, refs)]
+    f_sum = 0.0
+    active_orders = 0
+    b2 = BETA * BETA
+    for order in zip(*segments):
+        matched, hyp_total, ref_total = map(sum, zip(*order))
+        if hyp_total == 0 and ref_total == 0:
+            continue
+        active_orders += 1
+        p = matched / hyp_total if hyp_total else 0.0
+        r = matched / ref_total if ref_total else 0.0
+        if b2 * p + r > 0:
+            f_sum += (1 + b2) * p * r / (b2 * p + r)
+    if active_orders == 0:
+        return 0.0
+    return 100.0 * f_sum / active_orders
+
+
 def random_text(rng, alphabet="abcdef ", lo=3, hi=15):
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(lo, hi))).strip() or "a"
 
@@ -169,6 +190,19 @@ class TestChrf:
             chrf([], [])
         with pytest.raises(ValidationError, match="not a string"):
             chrf("", "")
+
+    def test_equals_hand_written_f_exactly(self):
+        # f_measure does the float operations of the formula it replaced, in
+        # the same order, so scores are equal, not only close; mixed_text gives
+        # empty and whitespace-only segments
+        rng = random.Random(49)
+        for text in [random_text] * 300 + [mixed_text] * 1200:
+            k = rng.randrange(1, 5)
+            hyps = [text(rng) for _ in range(k)]
+            refs = [text(rng) for _ in range(k)]
+            assert chrf(hyps, refs) == hand_written_f_chrf(hyps, refs)
+        for hyps, refs in (([""], [""]), ([" \t"], ["ab"]), (["ab", ""], ["", "\u3000"]), (["abc"], ["abd"])):
+            assert chrf(hyps, refs) == hand_written_f_chrf(hyps, refs)
 
     def test_range(self):
         rng = random.Random(47)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -10,6 +11,8 @@ from lrmt.corpus import (
     LanguageTag,
     Origin,
     SentencePair,
+    check_count,
+    check_number,
     ingest,
     normalize_text,
     write,
@@ -126,6 +129,23 @@ class TestSentencePair:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             make_pair().id = "x"
+
+
+# repr of an int of more than 4,300 digits raises ValueError, so the number
+# rules name such an int by its size
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_number(10**5000, "score", -1.0, 1.0), "score <int of 16610 bits> outside [-1, 1]"),
+        (lambda: check_count(-(10**5000), "size", 0), "size <negative int of 16610 bits> is not an integer >= 0"),
+        (lambda: make_pair(score=10**5000), "score <int of 16610 bits> outside"),
+        (lambda: check_number(2**70, "score", -1.0, 1.0), f"score {2**70} outside"),
+    ],
+    ids=["number", "count", "pair-score", "short-int-in-digits"],
+)
+def test_huge_int_named_by_size(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 class TestCorpus:
@@ -324,11 +344,15 @@ class TestIngestJsonl:
 
     def test_invalid_json_counts_malformed(self, tmp_path):
         p = tmp_path / "mix.jsonl"
-        rows = [json.dumps({"source": f"s {i}", "target": f"t {i}"}) for i in range(20)]
+        rows = [json.dumps({"source": f"s {i}", "target": f"t {i}"}) for i in range(30)]
         rows.append("{not json")
+        # json.loads refuses an int of over 4,300 digits with a plain ValueError
+        rows.append('{"source": "s x", "target": "t x", "score": 1%s}' % ("0" * 5000))
+        # a 400-digit int decodes, and its score is out of range
+        rows.append('{"source": "s y", "target": "t y", "score": 1%s}' % ("0" * 400))
         p.write_text("\n".join(rows) + "\n", encoding="utf-8")
         c = ingest(p, "jsonl", ENG_LATN, TRP_LATN, SYNTHETIC)
-        assert len(c) == 20
+        assert len(c) == 30
 
     def test_missing_fields_malformed(self, tmp_path):
         p = self.write_jsonl(tmp_path, [{"source": f"s {i}", "target": f"t {i}"} for i in range(20)] + [{"source": "only"}])

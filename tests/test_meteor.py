@@ -4,15 +4,45 @@ from collections import Counter
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.meteor import _align, meteor_corpus, meteor_sentence
-from lrmt.metrics.tokenizer import TokenizedSentence
+from lrmt.metrics.meteor import _align, _chunks, meteor_corpus, meteor_sentence
+from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 
 def toks(text):
     return TokenizedSentence(tokens=tuple(text.split()))
 
 
+def hand_written_f_meteor(hyp, ref):
+    """meteor_sentence as written before f_measure, kept as the reference it
+    must equal exactly: Fmean = 10PR / (R + 9P) by hand."""
+    matches = _align(hyp.tokens, ref.tokens)
+    m = len(matches)
+    if m == 0:
+        return 0.0
+    p = m / len(hyp)
+    r = m / len(ref)
+    f_mean = 10 * p * r / (r + 9 * p)
+    penalty = 0.5 * (_chunks(matches) / m) ** 3
+    return f_mean * (1.0 - penalty)
+
+
+def random_text(rng):
+    """0 to 11 words, punctuation and whitespace runs: sometimes empty or
+    whitespace-only, often with repeated words."""
+    return "".join(rng.choice(["a ", "b ", "c.", " ", "\t", "d,e ", "ab "]) for _ in range(rng.randrange(12)))
+
+
 class TestMeteorSentence:
+    def test_equals_hand_written_f_exactly(self):
+        # f_measure does the float operations of Fmean's formula in the same
+        # order, so scores are equal, not only close
+        rng = random.Random(54)
+        for _ in range(2000):
+            hyp, ref = tokenize_13a(random_text(rng)), tokenize_13a(random_text(rng))
+            assert meteor_sentence(hyp, ref) == hand_written_f_meteor(hyp, ref)
+        for hyp, ref in (("", ""), ("a", " \t"), (" ", "a b"), ("a x", "a")):
+            assert meteor_sentence(toks(hyp), toks(ref)) == hand_written_f_meteor(toks(hyp), toks(ref))
+
     @pytest.mark.parametrize("m", [1, 2, 5, 12])
     def test_identity_has_one_chunk(self, m):
         sentence = toks(" ".join(f"w{i}" for i in range(m)))

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
-from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair, ingest, write
+from dataclasses import replace
+
+from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, LanguageTag, Origin, SentencePair, ingest, write
 from lrmt.errors import IngestError, ValidationError
 from lrmt.pipeline import (
     OverlapReport,
@@ -179,6 +181,42 @@ class TestSwapDetection:
             [pair(0, src="the cat sat on a mat", tgt="the dog is in the house by the door")]
         )
         assert detect_swapped_rows(c) == []
+
+    def test_flipped_corpus_flags_the_same_pairs(self):
+        # a trp->en pair is judged by its eng_Latn side, so the flipped copies
+        # of the planted swaps are flagged, and no other flipped pair
+        rng = random.Random(33)
+        english = ["how are you doing today", "the cat is in the house", "what is it"]
+        kokborok = ["nwng tamo", "bo kaisa", "ani nok"]
+        pairs, planted = [], []
+        for i in range(300):
+            eng, trp = f"{rng.choice(english)} {i}", f"{rng.choice(kokborok)} {i}"
+            if rng.random() < 0.1:
+                eng, trp = trp, eng
+                planted.append(f"smoldoc:{i}")
+            pairs.append(pair(i, src=eng, tgt=trp))
+        c = Corpus(pairs)
+        flagged = detect_swapped_rows(c)
+        assert flagged == planted and planted
+        assert detect_swapped_rows(flip_concat(c)) == flagged + [f"{pid}:rev" for pid in flagged]
+
+    def test_trp_to_en_file(self, tmp_path):
+        path = tmp_path / "trp_en.tsv"
+        # row 0 is a right trp->en pair; row 1 holds English in the trp_Latn slot
+        path.write_text("nwng tamo?\thow are you doing today\nhow are you\tnwng tamo\n", "utf-8")
+        c = ingest(path, source_lang=TRP_LATN, target_lang=ENG_LATN)
+        assert detect_swapped_rows(c) == ["other:1"]
+        fixed = swap_rows(c, ["other:1"])
+        assert (fixed.pairs[1].source_text, fixed.pairs[1].target_text) == ("nwng tamo", "how are you")
+        assert detect_swapped_rows(fixed) == []
+
+    def test_no_english_side_not_flagged(self):
+        p = replace(
+            pair(0, src="nwng tamo?", tgt="how are you doing today"),
+            source_lang=TRP_LATN,
+            target_lang=LanguageTag("ben_Beng"),
+        )
+        assert detect_swapped_rows(Corpus([p])) == []
 
     def test_ratio_ignores_case_and_edge_punct(self):
         sw = load_stopwords()
@@ -355,8 +393,13 @@ class TestSplit:
 
     @pytest.mark.parametrize(
         "content",
-        [b"{not json", b'{"seed": "k", "splits": []', b"\xff\xfe{}"],
-        ids=["not-json", "truncated", "not-utf8"],
+        [
+            b"{not json",
+            b'{"seed": "k", "splits": []',
+            b"\xff\xfe{}",
+            b'{"seed": "k", "splits": [], "x": 1%s}' % (b"0" * 5000),  # over json's 4,300 digits
+        ],
+        ids=["not-json", "truncated", "not-utf8", "int-too-long"],
     )
     def test_from_json_file_unreadable(self, tmp_path, content):
         p = tmp_path / "spec.json"

@@ -374,17 +374,36 @@ class TestStratifiedSample:
             (BANDS, -1),
             (BANDS, 2.0),
             (BANDS, True),
+            ([0.5], 2),
+            ([(0.1,)], 2),
+            (None, 2),
         ],
         ids=[
             "overlap", "overlap-unsorted", "empty", "share-closed-top", "reversed", "nan-high", "nan-low",
             "nan-second", "inf-high", "inf-low", "none-low", "str-high", "per-band-0", "per-band-negative",
-            "per-band-float", "per-band-bool",
+            "per-band-float", "per-band-bool", "band-not-a-pair", "band-one-bound", "bands-none",
         ],
     )
     def test_rejects(self, bands, per_band):
         pool = _scored_pool(random.Random(17), 10)
         with pytest.raises(ValidationError):
             stratified_sample(pool, bands, per_band, seed="s")
+
+    @pytest.mark.parametrize(
+        "bands, named",
+        [([0.5], "band 0.5 "), ([(0.1,)], "band (0.1,) "), (None, "bands None "), ((0.0, 0.5), "band 0.0 ")],
+        ids=["float", "one-bound", "none", "flat-pair"],
+    )
+    def test_band_shape_names_the_band(self, bands, named):
+        pool = _scored_pool(random.Random(17), 10)
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            stratified_sample(pool, bands, 2, seed="s")
+
+    def test_list_bands_accepted(self):
+        # JSON gives lists: a list band samples as its tuple, also beside tuples
+        pool = _scored_pool(random.Random(17), 30)
+        as_tuples = stratified_sample(pool, ((-1.0, 0.0), (0.0, 1.0)), 2, seed="s")
+        assert stratified_sample(pool, [[-1.0, 0.0], (0.0, 1.0)], 2, seed="s") == as_tuples
 
     @pytest.mark.parametrize("seed", [5, None, b"s"])
     def test_rejects_seed_not_a_string(self, seed):
@@ -541,6 +560,8 @@ def _score_pair(score):
     return SentencePair("p0", "a", "b", ENG_LATN, TRP_LATN, SMOLSENT, score=score)
 
 
+HUGE = 10**5000  # more digits than repr allows
+
 # argument -> (call with the value, the name its error gives, values outside its
 # range, a boundary value that passes). Thresholds, band bounds and COMET
 # scores have no range limit: only +-inf lies outside. A count is an exact int.
@@ -549,18 +570,24 @@ NUMERIC_ARGUMENTS = {
     "analysis_report": (lambda x: analysis_report([0.5], [x]), "threshold", [], 1.5),
     "band-low": (lambda x: stratified_sample(_POOL, [(x, 2.0)], 1, "s"), "band low", [], -1.0),
     "band-high": (lambda x: stratified_sample(_POOL, [(-1.0, x)], 1, "s"), "band high", [], 2.0),
-    "per_band": (lambda x: stratified_sample(_POOL, [(-1.0, 2.0)], x, "s"), "per_band", [0, 1.0], 1),
-    "min_words": (lambda x: filter_length(_POOL, x, 5), "min_words", [0, 1.0], 1),
-    "max_words": (lambda x: filter_length(_POOL, 2, x), "max_words", [1, 2.0], 2),
-    "split-size": (lambda x: SplitEntry("dev", x), "split 'dev': size", [-1, 0.0], 0),
-    "timeout": (lambda x: EmbeddingClient("http://127.0.0.1:8000", timeout=x), "embedding timeout", [0, -1.0], 0.001),
-    "pair-score": (_score_pair, "pair p0: score", [math.nextafter(1.0, 2.0), -1.5], -1.0),
+    "per_band": (lambda x: stratified_sample(_POOL, [(-1.0, 2.0)], x, "s"), "per_band", [0, 1.0, -HUGE], 1),
+    "min_words": (lambda x: filter_length(_POOL, x, 5), "min_words", [0, 1.0, -HUGE], 1),
+    "max_words": (lambda x: filter_length(_POOL, 2, x), "max_words", [1, 2.0, -HUGE], 2),
+    "split-size": (lambda x: SplitEntry("dev", x), "split 'dev': size", [-1, 0.0, -HUGE], 0),
+    "timeout": (lambda x: EmbeddingClient("http://127.0.0.1:8000", timeout=x), "embedding timeout", [0, -1.0, -HUGE], 0.001),
+    "pair-score": (_score_pair, "pair p0: score", [math.nextafter(1.0, 2.0), -1.5, HUGE], -1.0),
     "embedding-score": (
-        lambda x: evaluate_corpus(["a b"], ["a b"], embedding_scores=[x]), "embedding score", [1.5], 1.0
+        lambda x: evaluate_corpus(["a b"], ["a b"], embedding_scores=[x]), "embedding score", [1.5, HUGE], 1.0
     ),
     "comet-score": (lambda x: evaluate_corpus(["a b"], ["a b"], comet_scores=[x]), "comet score", [], -3.0),
 }
 NOT_NUMBERS = [True, "0.5", None, math.nan, math.inf, -math.inf]
+
+
+def _huge_int_id(value):
+    # str of an int of more than 4,300 digits raises ValueError; None keeps
+    # pytest's own id for every other value
+    return f"int-of-{value.bit_length()}-bits" if type(value) is int and value.bit_length() > 1024 else None
 
 
 @pytest.mark.parametrize(
@@ -571,6 +598,7 @@ NOT_NUMBERS = [True, "0.5", None, math.nan, math.inf, -math.inf]
         for bad in NOT_NUMBERS + outside
         if not (arg == "pair-score" and bad is None)  # None is an unscored pair's score
     ],
+    ids=_huge_int_id,
 )
 def test_numeric_argument_rejects(argument, bad):
     call, what, *_ = NUMERIC_ARGUMENTS[argument]

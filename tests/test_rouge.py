@@ -4,7 +4,7 @@ import pytest
 
 from lrmt.errors import ValidationError
 from lrmt.metrics.rouge import rouge_l_corpus, rouge_l_sentence
-from lrmt.metrics.tokenizer import TokenizedSentence
+from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
 
 def toks(*tokens):
@@ -12,7 +12,9 @@ def toks(*tokens):
 
 
 def oracle_rouge_l(hyp, ref):
-    """LCS from the full DP matrix, then F1 of LCS precision and recall."""
+    """LCS from the full DP matrix, then F1 of LCS precision and recall,
+    written as rouge_l_sentence wrote it before f_measure: results must be
+    equal, not only close."""
     n, m = len(hyp), len(ref)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -39,6 +41,14 @@ class TestRougeLSentence:
             vocab = "abcdefgh"[: rng.randrange(1, 9)]
             hyp = random_sentence(rng, vocab, 25)
             ref = random_sentence(rng, vocab, 25)
+            assert rouge_l_sentence(hyp, ref) == oracle_rouge_l(hyp.tokens, ref.tokens)
+
+    def test_matches_oracle_on_text(self):
+        # tokenized text, sometimes empty or whitespace-only on either side
+        rng = random.Random(92)
+        words = ["a ", "b ", "c.", " ", "\t", "\u3000", "a,b "]
+        for _ in range(1000):
+            hyp, ref = (tokenize_13a("".join(rng.choice(words) for _ in range(rng.randrange(10)))) for _ in "hr")
             assert rouge_l_sentence(hyp, ref) == oracle_rouge_l(hyp.tokens, ref.tokens)
 
     def test_symmetric(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics.tokenizer import TokenizedSentence, ngram_stats, tokenize_13a
+from lrmt.metrics.tokenizer import TokenizedSentence, f_measure, ngram_stats, tokenize_13a
 
 GOLDEN = Path(__file__).parent / "data" / "tokenizer_golden.json"
 
@@ -246,3 +246,32 @@ class TestAffixTrim:
         for max_order in range(1, 7):
             for h, r in ((hyp, ref), (tuple(hyp), tuple(ref))):
                 assert ngram_stats(h, r, max_order) == counter_ngram_stats(h, r, max_order)
+
+
+class TestFMeasure:
+    def test_no_match_scores_zero(self):
+        # no total divides when nothing matches, zero totals included
+        assert f_measure(0, 0, 0, 1.0) == 0.0
+        assert f_measure(0, 0, 5, 2.0) == 0.0
+        assert f_measure(0, 5, 0, 3.0) == 0.0
+
+    def test_f1_symmetric_in_totals(self):
+        rng = random.Random(94)
+        for _ in range(300):
+            hyp_total, ref_total = rng.randrange(1, 40), rng.randrange(1, 40)
+            m = rng.randrange(0, min(hyp_total, ref_total) + 1)
+            assert f_measure(m, hyp_total, ref_total, 1.0) == f_measure(m, ref_total, hyp_total, 1.0)
+
+    def test_hand_computed(self):
+        # P = 2/4, R = 2/3: F_1 = 2PR / (P + R) = 4/7
+        assert f_measure(2, 4, 3, 1.0) == pytest.approx(4 / 7)
+        # F_2 = 5PR / (4P + R) = (5/3) / (8/3) = 5/8
+        assert f_measure(2, 4, 3, 2.0) == pytest.approx(5 / 8)
+        # F_3 = 10PR / (9P + R) = (10/3) / (31/6) = 20/31
+        assert f_measure(2, 4, 3, 3.0) == pytest.approx(20 / 31)
+
+    def test_recall_weighted_by_beta(self):
+        # P 1/4 and R 1/2 against P 1/2 and R 1/4: beta > 1 favors the recall
+        for beta in (2.0, 3.0):
+            assert f_measure(1, 4, 2, beta) > f_measure(1, 2, 4, beta)
+        assert f_measure(3, 3, 3, 3.0) == 1.0
