@@ -1,10 +1,9 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
-
-from dataclasses import replace
 
 from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, LanguageTag, Origin, SentencePair, ingest, write
 from lrmt.errors import IngestError, ValidationError

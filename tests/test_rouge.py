@@ -47,8 +47,12 @@ class TestRougeLSentence:
         # tokenized text, sometimes empty or whitespace-only on either side
         rng = random.Random(92)
         words = ["a ", "b ", "c.", " ", "\t", "\u3000", "a,b "]
+
+        def text():
+            return tokenize_13a("".join(rng.choice(words) for _ in range(rng.randrange(10))))
+
         for _ in range(1000):
-            hyp, ref = (tokenize_13a("".join(rng.choice(words) for _ in range(rng.randrange(10)))) for _ in "hr")
+            hyp, ref = text(), text()
             assert rouge_l_sentence(hyp, ref) == oracle_rouge_l(hyp.tokens, ref.tokens)
 
     def test_symmetric(self):
