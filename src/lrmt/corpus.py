@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 import sys
 import unicodedata
@@ -80,17 +79,19 @@ def _shown(x: object) -> str:
 
 
 def check_number(x: object, what: str, low: float, high: float) -> None:
-    """The number rule: an int or float, not a bool, finite, in [low, high].
-    A bound may be infinite, so (-inf, inf) asks only for a finite number.
-    Raises ValidationError naming `what`."""
+    """The number rule: an int or float, not a bool, within float range (so
+    not NaN or inf), in [low, high]. A bound may be infinite, so (-inf, inf)
+    asks only for a number within float range. Raises ValidationError naming
+    `what`."""
     # bool is an int subclass, and a numeric string is not a number
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"{what} {x!r} is not a number")
-    # comparisons, unlike math.isfinite, take an int too large for a float
-    if not -math.inf < x < math.inf:
-        raise ValidationError(f"{what} {x!r} is NaN or inf")
+    # comparisons, unlike math.isfinite, take an int of any size; NaN fails
+    # them, and an int beyond float range would overflow the arithmetic after
+    if not -sys.float_info.max <= x <= sys.float_info.max:
+        raise ValidationError(f"{what} {_shown(x)} is NaN, inf or beyond float range")
     if not low <= x <= high:
-        raise ValidationError(f"{what} {_shown(x)} outside [{low:g}, {high:g}]")
+        raise ValidationError(f"{what} {x!r} outside [{low:g}, {high:g}]")
 
 
 def check_count(x: object, what: str, low: int) -> None:
@@ -149,6 +150,8 @@ class Corpus:
         object.__setattr__(self, "pairs", tuple(self.pairs))
         seen: set[str] = set()
         for pair in self.pairs:
+            if not isinstance(pair, SentencePair):
+                raise ValidationError(f"corpus {self.name!r}: {pair!r} is not a SentencePair")
             if pair.id in seen:
                 raise ValidationError(f"corpus {self.name!r}: duplicate pair id {pair.id!r}")
             seen.add(pair.id)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .. import __version__
 from ..errors import ValidationError
-from .tokenizer import TokenizedSentence, ngram_stats
+from .tokenizer import TokenizedSentence, ngram_stats, total
 
 MAX_ORDER = 4
 
@@ -76,7 +76,7 @@ def compose_bleu(precisions_pct: tuple[float, ...], bp: float) -> float:
     """Score from per-order percent precisions and a brevity penalty."""
     if any(p <= 0.0 for p in precisions_pct):
         return 0.0
-    log_sum = sum(math.log(p) for p in precisions_pct) / len(precisions_pct)
+    log_sum = total(map(math.log, precisions_pct)) / len(precisions_pct)
     # exp(mean of logs) can overshoot 100 by a few ulps on identical inputs
     return min(bp * math.exp(log_sum), 100.0)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .tokenizer import check_parallel, check_text, f_measure, ngram_stats
+from .tokenizer import check_parallel, check_text, f_measure, ngram_stats, total
 
 # chrF2 as defined by Popović (2015): character n-grams of orders 1..6, recall
 # weighted twice as much as precision
@@ -28,11 +28,6 @@ def chrf(hyps: list[str], refs: list[str]) -> float:
     """
     check_parallel(hyps, refs)
     segments = [chrf_stats(h, r) for h, r in zip(hyps, refs)]
-    f_sum, active_orders = 0.0, 0
-    for order in zip(*segments):
-        matched, hyp_total, ref_total = map(sum, zip(*order))
-        if hyp_total or ref_total:
-            # += adds left to right; sum() of floats compensates from Python 3.12
-            f_sum += f_measure(matched, hyp_total, ref_total, BETA)
-            active_orders += 1
-    return 100.0 * f_sum / active_orders if active_orders else 0.0
+    sums = (map(sum, zip(*order)) for order in zip(*segments))
+    f = [f_measure(m, h, r, BETA) for m, h, r in sums if h or r]
+    return 100.0 * total(f) / len(f) if f else 0.0

@@ -3,7 +3,7 @@ stage; Banerjee & Lavie 2005): Fmean, f_measure with beta 3, times the penalty."
 
 from __future__ import annotations
 
-from .tokenizer import TokenizedSentence, check_parallel, f_measure
+from .tokenizer import TokenizedSentence, check_parallel, f_measure, total
 
 
 def _align(hyp: tuple[str, ...], ref: tuple[str, ...]) -> list[tuple[int, int]]:
@@ -44,4 +44,4 @@ def meteor_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
 def meteor_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:
     """Unweighted mean of sentence scores."""
     check_parallel(hyps, refs)
-    return sum(meteor_sentence(h, r) for h, r in zip(hyps, refs)) / len(hyps)
+    return total(map(meteor_sentence, hyps, refs)) / len(hyps)

@@ -14,7 +14,7 @@ from .chrf import chrf
 from .meteor import meteor_corpus
 from .rouge import rouge_l_corpus
 from .ter import ter_sentence
-from .tokenizer import check_parallel, tokenize_13a
+from .tokenizer import check_parallel, tokenize_13a, total
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, allow_nan=False)
-
-
-def _mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
 
 
 def evaluate_corpus(
@@ -80,6 +76,6 @@ def evaluate_corpus(
         rouge_l=rouge_l_corpus(hyp_tok, ref_tok),
         meteor=meteor_corpus(hyp_tok, ref_tok),
         signature=SIGNATURE,
-        cos_sim=None if embedding_scores is None else _mean(embedding_scores),
-        comet=None if comet_scores is None else _mean(comet_scores),
+        cos_sim=None if embedding_scores is None else total(embedding_scores) / len(hyps),
+        comet=None if comet_scores is None else total(comet_scores) / len(hyps),
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ._kernels import lcs_length
-from .tokenizer import TokenizedSentence, check_parallel, f_measure
+from .tokenizer import TokenizedSentence, check_parallel, f_measure, total
 
 
 def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
@@ -13,4 +13,4 @@ def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
 def rouge_l_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:
     """Unweighted mean of sentence F1 scores."""
     check_parallel(hyps, refs)
-    return sum(map(rouge_l_sentence, hyps, refs)) / len(hyps)
+    return total(map(rouge_l_sentence, hyps, refs)) / len(hyps)

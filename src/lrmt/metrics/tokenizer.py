@@ -5,7 +5,8 @@ decimal/thousands separators and in-abbreviation periods attached, split on
 whitespace. The rules are locked by a golden-file test; changing them changes
 every metric, so don't. The n-gram counter skips a pair's shared prefix and
 suffix, whose n-grams match one for one, and adds their count exactly.
-`f_measure` is the one F_beta formula: chrF, ROUGE-L and METEOR call it.
+`f_measure` is the one F_beta formula: chrF, ROUGE-L and METEOR call it, and
+`total` is the one float sum: every metric's mean and cross-order fold calls it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Sized
+from typing import Iterable, Sequence, Sized
 
 from ..errors import ValidationError
 
@@ -30,8 +31,13 @@ class TokenizedSentence:
         # tuple() of a string would split it into characters
         if isinstance(self.tokens, str):
             raise ValidationError(f"tokens {self.tokens!r} is a string, not a sequence of tokens")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if " ".join(self.tokens).split() != list(self.tokens):  # split() splits on isspace()
+        # tuple() of a non-iterable and join of a non-str raise TypeError
+        try:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
+            joined = " ".join(self.tokens)
+        except TypeError:
+            raise ValidationError(f"tokens {self.tokens!r} is not a sequence of strings") from None
+        if joined.split() != list(self.tokens):  # split() splits on isspace()
             tok = next(t for t in self.tokens if not t or any(map(str.isspace, t)))
             raise ValidationError(f"bad token {tok!r}: empty or contains whitespace")
 
@@ -104,6 +110,16 @@ def f_measure(matches: int, hyp_total: int, ref_total: int, beta: float) -> floa
     p = matches / hyp_total
     r = matches / ref_total
     return (1 + b2) * p * r / (b2 * p + r)
+
+
+def total(values: Iterable[float]) -> float:
+    """Sum from the int 0, left to right: sum()'s order before Python 3.12,
+    whose sum() compensates float rounding, so a score keeps its last digit
+    on every Python version. An all-int input stays an exact int."""
+    result = 0
+    for v in values:
+        result += v
+    return result
 
 
 def tokenize_13a(text: str) -> TokenizedSentence:

@@ -175,6 +175,9 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, str):
             raise ValidationError(f"split seed {self.seed!r} is not a string")
+        for e in self.entries:
+            if not isinstance(e, SplitEntry):
+                raise ValidationError(f"split entry {e!r} is not a SplitEntry")
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate split names: {names}")
@@ -288,6 +291,11 @@ def flip_concat(corpus: Corpus) -> Corpus:
     ``ingest``, which keeps its ids) raises ``ValidationError``: a pair ``x``
     flips to the ``x:rev`` already present, so ``Corpus`` refuses the
     duplicate id instead of adding every text pair a second time.
+
+    Split first, then flip each split. ``split`` places a pair by its
+    source text alone, so a corpus flipped before splitting puts most flips
+    of the eval pairs in train, and ``verify_overlap``, which compares
+    source with source, does not see it.
     """
     flipped = [
         replace(

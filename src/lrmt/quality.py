@@ -227,7 +227,7 @@ class EmbeddingClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         # urllib would also open file:// and ftp:// URLs; the service speaks HTTP only
-        if not base_url.startswith(("http://", "https://")):
+        if not (isinstance(base_url, str) and base_url.startswith(("http://", "https://"))):
             raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
         # the socket rejects a negative, NaN or infinite timeout only on first use
         check_number(timeout, "embedding timeout", 0.0, math.inf)

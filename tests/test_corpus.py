@@ -136,7 +136,10 @@ class TestSentencePair:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: check_number(10**5000, "score", -1.0, 1.0), "score <int of 16610 bits> outside [-1, 1]"),
+        (
+            lambda: check_number(10**5000, "score", -1.0, 1.0),
+            "score <int of 16610 bits> is NaN, inf or beyond float range",
+        ),
         (lambda: check_count(-(10**5000), "size", 0), "size <negative int of 16610 bits> is not an integer >= 0"),
         (lambda: check_number(2**70, "score", -1.0, 1.0), f"score {2**70} outside"),
     ],
@@ -151,6 +154,11 @@ class TestCorpus:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             Corpus([make_pair(0), make_pair(0)])
+
+    @pytest.mark.parametrize("bad", ["a", None, ("p0", "a", "b")])
+    def test_non_pair_rejected(self, bad):
+        with pytest.raises(ValidationError, match=re.escape(f"{bad!r} is not a SentencePair")):
+            Corpus([make_pair(0), bad])
 
     def test_iteration_preserves_order(self):
         pairs = [make_pair(i) for i in range(5)]

@@ -379,6 +379,11 @@ class TestSplit:
         with pytest.raises(ValidationError):
             make()
 
+    @pytest.mark.parametrize("bad", ["x", ("dev", 1), None])
+    def test_spec_rejects_entry_that_is_not_a_split_entry(self, bad):
+        with pytest.raises(ValidationError, match=re.escape(f"split entry {bad!r} is not a SplitEntry")):
+            SplitSpec("s", [SplitEntry("dev", 1), bad])
+
     def test_from_json_file(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(

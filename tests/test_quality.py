@@ -157,7 +157,7 @@ class TestHistogram:
 
     def test_out_of_range_and_non_finite_rejected(self):
         for bad in (-1.5, 1.5, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan):
-            with pytest.raises(ValidationError, match="outside|NaN or inf"):
+            with pytest.raises(ValidationError, match="outside|NaN, inf or beyond float range"):
                 histogram_csv([0.25, bad, 0.5])
 
     def test_no_scores(self):
@@ -224,7 +224,7 @@ class TestAnalysisReport:
         with pytest.raises(ValidationError) as histogram_error:
             histogram_csv(bad)
         assert str(report_error.value) == str(histogram_error.value)
-        assert re.search(r"at least one score|outside \[-1, 1\]|NaN or inf|not a number", str(report_error.value))
+        assert re.search(r"at least one score|outside \[-1, 1\]|NaN, inf or beyond float range|not a number", str(report_error.value))
 
 
 class TestRetentionCurve:
@@ -497,9 +497,9 @@ class TestEmbeddingClient:
             client.embed(["abc"])
         assert server.requests == 1
 
-    @pytest.mark.parametrize("url", ["127.0.0.1:8000", "file:///etc", "ftp://127.0.0.1"])
+    @pytest.mark.parametrize("url", ["127.0.0.1:8000", "file:///etc", "ftp://127.0.0.1", None, b"http://x"])
     def test_url_not_http(self, url):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape(f"got {url!r}")):
             EmbeddingClient(url)
 
     @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, 0, True, "5", None])
@@ -564,12 +564,14 @@ HUGE = 10**5000  # more digits than repr allows
 
 # argument -> (call with the value, the name its error gives, values outside its
 # range, a boundary value that passes). Thresholds, band bounds and COMET
-# scores have no range limit: only +-inf lies outside. A count is an exact int.
+# scores have no range limit: only +-inf and ints beyond float range lie
+# outside. A count is an exact int.
+BEYOND_FLOAT = [2**1024, HUGE, -HUGE]
 NUMERIC_ARGUMENTS = {
-    "filter_by_threshold": (lambda x: filter_by_threshold(_POOL, x), "threshold", [], 1.5),
-    "analysis_report": (lambda x: analysis_report([0.5], [x]), "threshold", [], 1.5),
-    "band-low": (lambda x: stratified_sample(_POOL, [(x, 2.0)], 1, "s"), "band low", [], -1.0),
-    "band-high": (lambda x: stratified_sample(_POOL, [(-1.0, x)], 1, "s"), "band high", [], 2.0),
+    "filter_by_threshold": (lambda x: filter_by_threshold(_POOL, x), "threshold", BEYOND_FLOAT, 1.5),
+    "analysis_report": (lambda x: analysis_report([0.5], [x]), "threshold", BEYOND_FLOAT, 1.5),
+    "band-low": (lambda x: stratified_sample(_POOL, [(x, 2.0)], 1, "s"), "band low", BEYOND_FLOAT, -1.0),
+    "band-high": (lambda x: stratified_sample(_POOL, [(-1.0, x)], 1, "s"), "band high", BEYOND_FLOAT, 2.0),
     "per_band": (lambda x: stratified_sample(_POOL, [(-1.0, 2.0)], x, "s"), "per_band", [0, 1.0, -HUGE], 1),
     "min_words": (lambda x: filter_length(_POOL, x, 5), "min_words", [0, 1.0, -HUGE], 1),
     "max_words": (lambda x: filter_length(_POOL, 2, x), "max_words", [1, 2.0, -HUGE], 2),
@@ -579,7 +581,7 @@ NUMERIC_ARGUMENTS = {
     "embedding-score": (
         lambda x: evaluate_corpus(["a b"], ["a b"], embedding_scores=[x]), "embedding score", [1.5, HUGE], 1.0
     ),
-    "comet-score": (lambda x: evaluate_corpus(["a b"], ["a b"], comet_scores=[x]), "comet score", [], -3.0),
+    "comet-score": (lambda x: evaluate_corpus(["a b"], ["a b"], comet_scores=[x]), "comet score", BEYOND_FLOAT, -3.0),
 }
 NOT_NUMBERS = [True, "0.5", None, math.nan, math.inf, -math.inf]
 

@@ -71,7 +71,7 @@ class TestEvaluateCorpus:
     def test_non_finite_scores_rejected(self, name, bad):
         # a cosine lies in [-1, 1]; COMET's range depends on its model, so both
         # rules ask for a finite number first
-        message = rf"{name.split('_')[0]} score \S+ is NaN or inf"
+        message = rf"{name.split('_')[0]} score \S+ is NaN, inf or beyond float range"
         with pytest.raises(ValidationError, match=message):
             evaluate_corpus(HYPS[:1], REFS[:1], **{name: [bad]})
 

@@ -64,6 +64,9 @@ class TestTokenizedSentence:
         # tuple("abc") would store one token per character
         with pytest.raises(ValidationError, match="string"):
             TokenizedSentence(tokens="abc")
+        for tokens in ((1, 2), None, (b"a",)):
+            with pytest.raises(ValidationError, match="not a sequence of strings"):
+                TokenizedSentence(tokens=tokens)
 
     def test_whitespace_is_what_isspace_accepts(self):
         # the one-pass check relies on str.split() splitting on exactly the
