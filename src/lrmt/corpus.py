@@ -147,6 +147,10 @@ class Corpus:
     name: str = "corpus"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValidationError(f"corpus name {self.name!r} is not a string")
+        if not isinstance(self.pairs, (list, tuple)):
+            raise ValidationError(f"corpus {self.name!r}: pairs are a {type(self.pairs).__name__}, not a list or tuple")
         object.__setattr__(self, "pairs", tuple(self.pairs))
         seen: set[str] = set()
         for pair in self.pairs:

@@ -44,11 +44,16 @@ def evaluate_corpus(
     embedding_scores: Optional[Sequence[float]] = None,
     comet_scores: Optional[Sequence[float]] = None,
 ) -> MetricReport:
-    """Every metric over one corpus. Embedding scores follow `check_score`,
-    COMET scores `check_number` with no range limit."""
+    """Every metric over one corpus. A score column is a list or tuple with
+    one score per segment. Embedding scores follow `check_score`, COMET
+    scores `check_number` with no range limit."""
     check_parallel(hyps, refs)
     for name, scores in (("embedding", embedding_scores), ("comet", comet_scores)):
-        if scores is not None and len(scores) != len(hyps):
+        if scores is None:
+            continue
+        if not isinstance(scores, (list, tuple)):
+            raise ValidationError(f"{name} scores are a {type(scores).__name__}, not a list or tuple")
+        if len(scores) != len(hyps):
             raise ValidationError(f"{name} scores length {len(scores)} != corpus size {len(hyps)}")
     if embedding_scores is not None:
         for s in embedding_scores:

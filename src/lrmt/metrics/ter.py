@@ -44,6 +44,7 @@ def _scan(
     reaches `floor`; None when no candidate is below `best_dist`."""
     best = None
     n = len(current)
+    unreachable = n + ref_len + 1  # above any distance: the prefix steps never give up
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
             block = current[i : i + size]
@@ -58,14 +59,26 @@ def _scan(
                     best = current[:k] + tail
                     if best_dist == floor:
                         return best, best_dist
-            for k in range(i + size, min(n - size, i + MAX_SHIFT_DIST) + 1):
-                if starts[i] >= best_dist:
+            last = min(n - size, i + MAX_SHIFT_DIST)
+            if last < i + size or starts[i] >= best_dist:
+                continue
+            # pstate is the DP state after current[:i] + after[:k-i], the
+            # prefix that every right move of this block to k or beyond shares
+            pstate = states[i]
+            for k in range(i + 1, last + 1):
+                tok = (after[k - i - 1],)
+                low = resume_lower_bound(pstate, ref_len, 1)
+                pstate = levenshtein_resume(tok, ref_masks, ref_len, pstate, low, unreachable)
+                low = resume_lower_bound(pstate, ref_len, n - k)
+                if low >= best_dist:
                     break
-                tail = after[: k - i] + block + after[k - i :]
-                state = levenshtein_resume(tail, ref_masks, ref_len, states[i], starts[i], best_dist)
+                if k < i + size:
+                    continue
+                tail = block + after[k - i :]
+                state = levenshtein_resume(tail, ref_masks, ref_len, pstate, low, best_dist)
                 if state is not None:
                     best_dist = state[2]
-                    best = current[:i] + tail
+                    best = current[:i] + after[: k - i] + tail
                     if best_dist == floor:
                         return best, best_dist
     if best is None:
@@ -96,16 +109,26 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
        MAX_SHIFT_DIST, so both caps admit it.)
     2. A candidate shares its first `min(i, k)` tokens with `current`, so
        the DP resumes from the state after that prefix, computed once per
-       call.
+       call. The right moves of one block share more: with `after =
+       current[i+size:]`, the move to `k` starts with `current[:i] +
+       after[:k-i]`, which grows by one token per `k`. They resume from one
+       running state over that prefix, extended by one token per `k`, and
+       each reads only `block + after[k-i:]`.
     3. DP values never decrease along a diagonal (Ukkonen 1985), so the
        cell where the final cell's diagonal crosses the current row bounds a
        candidate's distance from below; `levenshtein_resume` abandons the
        candidate once that cell reaches `best_dist`, when it can no longer
-       be strictly lower. Every candidate resumed from `states[k]` reads the
-       last `n - k` tokens, so its starting cell, `resume_lower_bound`, is
-       known before its tail is built: it is computed once per `k`, and a
-       left move landing at `k`, or a right move from `i`, is skipped
-       without building a tail while that cell is already `>= best_dist`.
+       be strictly lower. A candidate resumed after `k` tokens reads the
+       last `n - k`, so its starting cell, `resume_lower_bound`, is known
+       before its tail is built. For left moves it is computed once per
+       `k`, and a left move landing at `k` is skipped without building a
+       tail while that cell is already `>= best_dist`. Every right move of
+       one block ends in the same final cell, so the running state of
+       shortcut 2 walks down one diagonal, and its cell only rises as `k`
+       grows while `best_dist` only falls: the loop breaks once the cell
+       reaches `best_dist`. Before that state is built, the block's right
+       moves are skipped while the diagonal's cell after `current[:i]`,
+       `starts[i]`, is already `>= best_dist`.
     4. No candidate is below `floor` (`_shift_floor`), so the scan returns
        as soon as one reaches it: no later candidate could replace it. The
        second stage of shortcut 5 returns as soon as one reaches

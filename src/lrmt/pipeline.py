@@ -175,6 +175,8 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, str):
             raise ValidationError(f"split seed {self.seed!r} is not a string")
+        if not isinstance(self.entries, (list, tuple)):
+            raise ValidationError(f"split entries are a {type(self.entries).__name__}, not a list or tuple")
         for e in self.entries:
             if not isinstance(e, SplitEntry):
                 raise ValidationError(f"split entry {e!r} is not a SplitEntry")

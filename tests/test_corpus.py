@@ -160,6 +160,16 @@ class TestCorpus:
         with pytest.raises(ValidationError, match=re.escape(f"{bad!r} is not a SentencePair")):
             Corpus([make_pair(0), bad])
 
+    @pytest.mark.parametrize("bad", [None, "ab", iter([])])
+    def test_pairs_that_are_not_a_list_or_tuple_rejected(self, bad):
+        with pytest.raises(ValidationError, match=f"pairs are a {type(bad).__name__}, not a list or tuple"):
+            Corpus(bad)
+
+    @pytest.mark.parametrize("bad", [5, None, b"corpus"])
+    def test_name_that_is_not_a_string_rejected(self, bad):
+        with pytest.raises(ValidationError, match=re.escape(f"corpus name {bad!r} is not a string")):
+            Corpus([], name=bad)
+
     def test_iteration_preserves_order(self):
         pairs = [make_pair(i) for i in range(5)]
         c = Corpus(pairs)

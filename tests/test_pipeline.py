@@ -384,6 +384,11 @@ class TestSplit:
         with pytest.raises(ValidationError, match=re.escape(f"split entry {bad!r} is not a SplitEntry")):
             SplitSpec("s", [SplitEntry("dev", 1), bad])
 
+    @pytest.mark.parametrize("bad", [None, "dev", SplitEntry("dev", 1)])
+    def test_spec_rejects_entries_that_are_not_a_list_or_tuple(self, bad):
+        with pytest.raises(ValidationError, match=f"split entries are a {type(bad).__name__}, not a list or tuple"):
+            SplitSpec("s", bad)
+
     def test_from_json_file(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(

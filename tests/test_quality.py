@@ -582,6 +582,11 @@ NUMERIC_ARGUMENTS = {
         lambda x: evaluate_corpus(["a b"], ["a b"], embedding_scores=[x]), "embedding score", [1.5, HUGE], 1.0
     ),
     "comet-score": (lambda x: evaluate_corpus(["a b"], ["a b"], comet_scores=[x]), "comet score", BEYOND_FLOAT, -3.0),
+    # a score column is a list or tuple; None leaves the column out
+    "embedding-column": (
+        lambda x: evaluate_corpus(["a"], ["a"], embedding_scores=x), "embedding scores", [5, 0.5], [1.0]
+    ),
+    "comet-column": (lambda x: evaluate_corpus(["a"], ["a"], comet_scores=x), "comet scores", [5, -3.0], (-3.0,)),
 }
 NOT_NUMBERS = [True, "0.5", None, math.nan, math.inf, -math.inf]
 
@@ -598,7 +603,8 @@ def _huge_int_id(value):
         (arg, bad)
         for arg, (*_, outside, _) in NUMERIC_ARGUMENTS.items()
         for bad in NOT_NUMBERS + outside
-        if not (arg == "pair-score" and bad is None)  # None is an unscored pair's score
+        # None is an unscored pair's score, and a column left out
+        if not (arg in ("pair-score", "embedding-column", "comet-column") and bad is None)
     ],
     ids=_huge_int_id,
 )

@@ -5,7 +5,14 @@ from collections import Counter
 import pytest
 
 from lrmt.errors import ValidationError
-from lrmt.metrics._kernels import levenshtein_masks, match_masks
+from lrmt.metrics import ter
+from lrmt.metrics._kernels import (
+    levenshtein_masks,
+    levenshtein_prefix_states,
+    levenshtein_resume,
+    match_masks,
+    resume_lower_bound,
+)
 from lrmt.metrics.report import evaluate_corpus
 from lrmt.metrics.ter import (
     MAX_SHIFT_DIST,
@@ -84,18 +91,105 @@ def reference_best_shift(current, ref_masks, ref_len, base):
     return best, best_dist
 
 
+def fixed_prefix_scan(current, ref_masks, ref_len, states, starts, best_dist, floor):
+    """`_scan` before the right moves shared a growing prefix: every right
+    move of a block from `i` resumes from `states[i]`, reads `after[:k-i]`
+    again, and is skipped only while `starts[i] >= best_dist`."""
+    best = None
+    n = len(current)
+    for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
+        for i in range(n - size + 1):
+            block = current[i : i + size]
+            after = current[i + size :]
+            for k in range(max(0, i - MAX_SHIFT_DIST), i - size):
+                if starts[k] >= best_dist:
+                    continue
+                tail = block + current[k:i] + after
+                state = levenshtein_resume(tail, ref_masks, ref_len, states[k], starts[k], best_dist)
+                if state is not None:
+                    best_dist = state[2]
+                    best = current[:k] + tail
+                    if best_dist == floor:
+                        return best, best_dist
+            for k in range(i + size, min(n - size, i + MAX_SHIFT_DIST) + 1):
+                if starts[i] >= best_dist:
+                    break
+                tail = after[: k - i] + block + after[k - i :]
+                state = levenshtein_resume(tail, ref_masks, ref_len, states[i], starts[i], best_dist)
+                if state is not None:
+                    best_dist = state[2]
+                    best = current[:i] + tail
+                    if best_dist == floor:
+                        return best, best_dist
+    if best is None:
+        return None
+    return best, best_dist
+
+
+def fixed_prefix_best_shift(current, ref_masks, ref_len, floor):
+    """`_best_shift`'s two stages over `fixed_prefix_scan`."""
+    n = len(current)
+    states = levenshtein_prefix_states(current, ref_masks, ref_len)
+    starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
+    base = states[-1][2]
+    found = fixed_prefix_scan(current, ref_masks, ref_len, states, starts, min(base, floor + 2), floor)
+    if found is None and floor + 2 < base:
+        found = fixed_prefix_scan(current, ref_masks, ref_len, states, starts, base, floor + 2)
+    return found
+
+
 def best_shift(hyp, ref):
     """_best_shift with the floor ter_sentence gives it."""
     return _best_shift(hyp, match_masks(ref), len(ref), _shift_floor(hyp, ref))
 
 
 def assert_same_best_shift(hyp, ref):
-    """Check _best_shift against the plain scan; return the plain scan's result."""
+    """Check _best_shift against the plain scan and the fixed-prefix scan;
+    return the plain scan's result."""
     ref_masks = match_masks(ref)
     base = levenshtein_masks(hyp, ref_masks, len(ref))
     expected = reference_best_shift(hyp, ref_masks, len(ref), base)
     assert best_shift(hyp, ref) == expected, (hyp, ref)
+    assert fixed_prefix_best_shift(hyp, ref_masks, len(ref), _shift_floor(hyp, ref)) == expected, (hyp, ref)
     return expected
+
+
+def assert_same_shift_path(hyp, ref):
+    """Run ter_sentence's greedy loop and check that _best_shift and the
+    fixed-prefix scan make the same move at every step; return the edits."""
+    ref_masks = match_masks(ref)
+    current = list(hyp)
+    shifts = 0
+    dist = levenshtein_masks(current, ref_masks, len(ref))
+    floor = _shift_floor(current, ref)
+    while dist > floor + 1:
+        found = _best_shift(current, ref_masks, len(ref), floor)
+        assert found == fixed_prefix_best_shift(current, ref_masks, len(ref), floor), (current, ref)
+        if found is None:
+            break
+        current, dist = found
+        shifts += 1
+    return shifts + dist
+
+
+def right_move_landings(monkeypatch, hyp, ref):
+    """_best_shift's result, and the landings `k` of the right moves of
+    `hyp[0]` that it scored, in order. `hyp[0]` must occur once in `hyp`:
+    the block `[hyp[0]]` is the first one scanned, and it has no left moves,
+    so its candidates are the first ones scored, each `[hyp[0]] +
+    hyp[k+1:]` from the running prefix state."""
+    calls = []
+
+    def counting(a, peq, m, state, low, bound):
+        calls.append((tuple(a), bound))
+        return levenshtein_resume(a, peq, m, state, low, bound)
+
+    monkeypatch.setattr(ter, "levenshtein_resume", counting)
+    found = best_shift(hyp, ref)
+    # the prefix steps pass a bound above any distance
+    candidates = [a for a, bound in calls if bound <= len(hyp) + len(ref)]
+    first = list(itertools.takewhile(lambda a: a[0] == hyp[0], candidates))
+    return found, [len(hyp) - len(a) for a in first]
 
 
 def count_stage(stages, hyp, ref, found):
@@ -239,6 +333,59 @@ class TestTerSentence:
         hyp = [rng.choice(vocab) for _ in range(rng.randrange(52, 61))]
         ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 61))]
         assert_same_best_shift(hyp, ref)
+
+    def test_best_shift_matches_fixed_prefix_scan(self):
+        # every move of ter_sentence's loop, on segments up to 16 tokens
+        rng = random.Random(57)
+        for _ in range(150):
+            vocab = "abcdefgh"[: rng.randrange(1, 9)]
+            hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 17))]
+            ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 17))]
+            edits = assert_same_shift_path(hyp, ref)
+            assert ter_sentence(toks(*hyp), toks(*ref))[0] == edits, (hyp, ref)
+
+    def test_best_shift_matches_fixed_prefix_scan_on_eval_long_pairs(self):
+        rng = random.Random(58)
+        for n in (16, 23, 30):
+            for moves in (1, 2, 3):
+                for _ in range(4):
+                    hyp, ref = eval_long_pair(rng, n, moves)
+                    edits = assert_same_shift_path(hyp, ref)
+                    assert ter_sentence(toks(*hyp), toks(*ref))[0] == edits, (hyp, ref)
+
+    def test_best_shift_matches_fixed_prefix_scan_past_distance_cap(self):
+        # from 52 tokens on, MAX_SHIFT_DIST ends the right moves before the
+        # end of the segment
+        rng = random.Random(59)
+        for n in (52, 58, 64):
+            hyp, ref = eval_long_pair(rng, n, 2)
+            edits = assert_same_shift_path(hyp, ref)
+            assert ter_sentence(toks(*hyp), toks(*ref))[0] == edits, (hyp, ref)
+
+    def test_running_bound_breaks_right_moves(self, monkeypatch):
+        # "x" can land at k = 1..4. From k = 3 on, every landing starts with
+        # "a b c", whose cell on the final cell's diagonal (D[3][3] against
+        # "a x b") is 2, the start bound: the loop breaks there, where the
+        # fixed-prefix scan scores k = 3 and 4 too
+        hyp, ref = "x a b c d".split(), "a x b d c".split()
+        found, landings = right_move_landings(monkeypatch, hyp, ref)
+        assert landings == [1, 2]
+        assert found == ("a x b c d".split(), 2)
+        assert found == fixed_prefix_best_shift(hyp, match_masks(ref), len(ref), 0)
+
+    def test_right_move_past_its_own_size(self):
+        # "b" (i = 1, size 1) wins by landing at k = 3 > i + size: the result
+        # keeps the prefix "x" and the passed tokens "c a" before the block
+        hyp, ref = "x b c a d".split(), "x c a b d".split()
+        assert best_shift(hyp, ref) == (ref, 0)
+        assert assert_same_best_shift(hyp, ref) == (ref, 0)
+
+    def test_blocks_with_no_right_move(self):
+        # n - size < i + size leaves a block no right move: here every block
+        # of size 2 and up. No shift helps, so the scan passes all of them.
+        assert assert_same_best_shift(list("cba"), list("abc")) is None
+        ref = [f"w{j}" for j in range(12)]
+        assert_same_best_shift(ref[::-1], ref)
 
     def test_floor_is_min_over_reorderings(self):
         rng = random.Random(52)
