@@ -21,6 +21,12 @@ distance, and it reaches the distance at the last token.
 `resume_lower_bound` reads it off a state by two popcounts; the resumed DP
 then follows it with one bit of Hyyrö's diagonal-zero vector per token.
 
+`lcs_resume` does the same for LCS: it continues a bit vector from the one
+after some prefix, and `lcs_length` is that step from the all-ones vector.
+TER's shift search keeps the vector after each prefix of the hypothesis, so
+the LCS of the hypothesis with one block cut out is one resume over the
+tokens after the block; it bounds every landing of that block from below.
+
 Tokens need only be hashable. `benchmarks/run.py --trace 1` reports the
 `metrics.kernels.levenshtein_us` and `metrics.kernels.lcs_us` timings.
 """
@@ -141,12 +147,22 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     return levenshtein_masks(a, match_masks(b), len(b))
 
 
-def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """Length of the longest common subsequence."""
-    peq = match_masks(b)
-    mask = (1 << len(b)) - 1
-    v = mask
+def lcs_resume(a: Sequence[Hashable], peq: Mapping[Hashable, int], m: int, v: int) -> int:
+    """Continue the LCS bit vector `v` (after some prefix) over the tokens of `a`.
+
+    Returns the vector after `a`. Its zero bits count the LCS of prefix + `a`
+    with the length-`m` sequence whose `match_masks` is `peq`: the LCS is
+    `m - v.bit_count()`. The vector before any token is all ones,
+    `(1 << m) - 1`.
+    """
+    mask = (1 << m) - 1
     for tok in a:
         u = v & peq.get(tok, 0)
         v = ((v + u) | (v - u)) & mask
-    return len(b) - v.bit_count()
+    return v
+
+
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence."""
+    m = len(b)
+    return m - lcs_resume(a, match_masks(b), m, (1 << m) - 1).bit_count()

@@ -67,10 +67,17 @@ def evaluate_corpus(
     empty = next((i for i, r in enumerate(ref_tok) if not r), None)
     if empty is not None:
         raise ValidationError(f"TER needs a non-empty reference; reference {empty} is empty")
-    stats = sum(map(sentence_stats, hyp_tok, ref_tok), BleuStats.zero())
+    # BLEU's statistics are ints: sum each field, then build one BleuStats
+    segments = list(map(sentence_stats, hyp_tok, ref_tok))
+    stats = BleuStats(
+        clipped=tuple(map(sum, zip(*(s.clipped for s in segments)))),
+        totals=tuple(map(sum, zip(*(s.totals for s in segments)))),
+        hyp_len=sum(s.hyp_len for s in segments),
+        ref_len=sum(s.ref_len for s in segments),
+    )
     bleu, precisions, bp = bleu_from_stats(stats)
     edits = sum(ter_sentence(h, r)[0] for h, r in zip(hyp_tok, ref_tok))
-    ref_len = sum(map(len, ref_tok))
+    ref_len = stats.ref_len  # the reference tokens, as TER divides by them
 
     return MetricReport(
         bleu=bleu,

@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 from ..errors import ValidationError
 from ._kernels import (
     LevState,
+    lcs_resume,
     levenshtein_masks,
     levenshtein_prefix_states,
     levenshtein_resume,
@@ -30,12 +31,35 @@ def _shift_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     return max(len(hyp), len(ref)) - sum((Counter(hyp) & Counter(ref)).values())
 
 
+def _lcs_tables(current: list[str], ref_masks: Mapping[str, int], ref_len: int):
+    """(vectors, block_lcs) for shortcut 6 of `_best_shift`.
+
+    vectors[i] is the LCS bit vector after `current[:i]`, for i in 0..n, and
+    block_lcs[i][s - 1] is LCS(current[i:i+s], ref) for s <= MAX_SHIFT_SIZE.
+    """
+    ones = (1 << ref_len) - 1
+    vectors = [ones]
+    for tok in current:
+        vectors.append(lcs_resume((tok,), ref_masks, ref_len, vectors[-1]))
+    block_lcs = []
+    for i in range(len(current)):
+        v = ones
+        lcs = []
+        for tok in current[i : i + MAX_SHIFT_SIZE]:
+            v = lcs_resume((tok,), ref_masks, ref_len, v)
+            lcs.append(ref_len - v.bit_count())
+        block_lcs.append(lcs)
+    return vectors, block_lcs
+
+
 def _scan(
     current: list[str],
     ref_masks: Mapping[str, int],
     ref_len: int,
     states: list[LevState],
     starts: list[int],
+    lcs_vectors: list[int],
+    block_lcs: list[list[int]],
     best_dist: int,
     floor: int,
 ):
@@ -44,11 +68,17 @@ def _scan(
     reaches `floor`; None when no candidate is below `best_dist`."""
     best = None
     n = len(current)
+    longest = max(n, ref_len)
     unreachable = n + ref_len + 1  # above any distance: the prefix steps never give up
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
-            block = current[i : i + size]
             after = current[i + size :]
+            # shortcut 6: no landing of the block is below longest - cap
+            cut = lcs_resume(after, ref_masks, ref_len, lcs_vectors[i])
+            cap = ref_len - cut.bit_count() + block_lcs[i][size - 1]
+            if longest - cap >= best_dist:
+                continue
+            block = current[i : i + size]
             for k in range(max(0, i - MAX_SHIFT_DIST), i - size):
                 if starts[k] >= best_dist:
                     continue
@@ -95,7 +125,7 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
     deterministic. Returns (new_hyp, new_dist) or None when nothing strictly
     improves.
 
-    Each move swaps two adjacent blocks. Five shortcuts make the search
+    Each move swaps two adjacent blocks. Six shortcuts make the search
     cheaper and leave the result exact (Snover et al. 2006; Post 2018):
 
     1. Moving `current[i:i+size]` left to `k` gives the same sequence as
@@ -144,14 +174,26 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
        distance below its start bound. A tighter start bound drops only
        candidates at or above it, so the two stages return the same
        (sequence, distance) as one scan from `base`.
+    6. With `B = current[i:i+size]`, `R = current[:i] + current[i+size:]`,
+       n = len(current) and m = len(ref), a block is skipped, before its
+       tail or running state is built, when
+       `LCS(R, ref) + LCS(B, ref) <= max(n, m) - best_dist`: no landing of
+       `B` is then strictly below `best_dist`. A candidate with c matches
+       and s substitutions has distance d = n + m - 2c - s, and
+       s <= min(n, m) - c, so d >= max(n, m) - LCS(cand, ref). `B` stays
+       contiguous in the candidate, so LCS(cand, ref) <= LCS(R, ref) +
+       LCS(B, ref). `_lcs_tables` builds the LCS vector after each prefix
+       and every LCS(B, ref) once per call; LCS(R, ref) is one `lcs_resume`
+       over `current[i+size:]`.
     """
     n = len(current)
     states = levenshtein_prefix_states(current, ref_masks, ref_len)
     starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
     base = states[-1][2]  # the distance of `current` itself
-    found = _scan(current, ref_masks, ref_len, states, starts, min(base, floor + 2), floor)
+    tables = (states, starts, *_lcs_tables(current, ref_masks, ref_len))
+    found = _scan(current, ref_masks, ref_len, *tables, min(base, floor + 2), floor)
     if found is None and floor + 2 < base:
-        found = _scan(current, ref_masks, ref_len, states, starts, base, floor + 2)
+        found = _scan(current, ref_masks, ref_len, *tables, base, floor + 2)
     return found
 
 

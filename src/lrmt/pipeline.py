@@ -177,6 +177,8 @@ class SplitSpec:
             raise ValidationError(f"split seed {self.seed!r} is not a string")
         if not isinstance(self.entries, (list, tuple)):
             raise ValidationError(f"split entries are a {type(self.entries).__name__}, not a list or tuple")
+        # a tuple, so the entries cannot change after these checks
+        object.__setattr__(self, "entries", tuple(self.entries))
         for e in self.entries:
             if not isinstance(e, SplitEntry):
                 raise ValidationError(f"split entry {e!r} is not a SplitEntry")

@@ -9,6 +9,7 @@ import pytest
 import lrmt.metrics
 from lrmt.metrics._kernels import (
     lcs_length,
+    lcs_resume,
     levenshtein,
     levenshtein_masks,
     levenshtein_prefix_states,
@@ -195,6 +196,25 @@ class TestLcs:
             a = [rng.randrange(vocab) for _ in range(rng.randrange(0, 141))]
             b = [rng.randrange(vocab) for _ in range(rng.randrange(0, 141))]
             assert lcs_length(a, b) == lcs_oracle(a, b)
+
+    def test_resume_from_every_prefix_vector(self):
+        # the vector after each prefix, resumed over the rest of `a`, over a
+        # permutation of it (as TER's candidates are) or over fresh tokens
+        rng = random.Random(79)
+        for _ in range(60):
+            vocab = rng.randrange(1, 21)
+            a = [rng.randrange(vocab) for _ in range(rng.randrange(0, 41))]
+            b = [rng.randrange(vocab) for _ in range(rng.randrange(0, 41))]
+            m = len(b)
+            peq = match_masks(b)
+            vectors = [(1 << m) - 1]
+            for tok in a:
+                vectors.append(lcs_resume((tok,), peq, m, vectors[-1]))
+            for p, v in enumerate(vectors):
+                fresh = [rng.randrange(20) for _ in range(rng.randrange(0, 21))]
+                for rest in (a[p:], rng.sample(a[p:], len(a) - p), fresh):
+                    assert m - lcs_resume(rest, peq, m, v).bit_count() == lcs_oracle(a[:p] + rest, b)
+                assert lcs_resume(a[p:], peq, m, v) == vectors[-1]
 
 
 class TestBackends:

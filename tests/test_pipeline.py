@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -388,6 +388,19 @@ class TestSplit:
     def test_spec_rejects_entries_that_are_not_a_list_or_tuple(self, bad):
         with pytest.raises(ValidationError, match=f"split entries are a {type(bad).__name__}, not a list or tuple"):
             SplitSpec("s", bad)
+
+    def test_spec_cannot_be_mutated(self):
+        # the entries are kept as a tuple, so neither the spec nor the list
+        # it was built from can change them after the checks
+        entries = [SplitEntry("dev", 1)]
+        spec = SplitSpec("s", entries)
+        entries.append("x")
+        assert spec.entries == (SplitEntry("dev", 1),)
+        with pytest.raises(AttributeError):
+            spec.entries.append(SplitEntry("test", 2))
+        with pytest.raises(FrozenInstanceError):
+            spec.entries = [SplitEntry("dev", 1), "x"]
+        assert spec == SplitSpec("s", (SplitEntry("dev", 1),))
 
     def test_from_json_file(self, tmp_path):
         p = tmp_path / "spec.json"

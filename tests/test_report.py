@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 
 import pytest
@@ -51,6 +52,27 @@ class TestEvaluateCorpus:
             cos_sim=1.75 / 3,
             comet=0.5,
         )
+
+    def test_bleu_sums_fields_without_adding_stats(self, monkeypatch):
+        # the per-field sums equal the BleuStats.__add__ fold, which
+        # evaluate_corpus no longer runs
+        rng = random.Random(12)
+        words = "the a cat dog sat ran on under mat house".split()
+        hyps = [" ".join(rng.choices(words, k=rng.randrange(0, 12))) for _ in range(200)]
+        refs = [" ".join(rng.choices(words, k=rng.randrange(1, 12))) for _ in range(200)]
+        stats = BleuStats.zero()
+        for h, r in zip(hyps, refs):
+            stats = stats + sentence_stats(tokenize_13a(h), tokenize_13a(r))
+        expected = bleu_from_stats(stats)
+
+        def refuse(self, other):
+            raise AssertionError("BleuStats.__add__ called")
+
+        monkeypatch.setattr(BleuStats, "__add__", refuse)
+        report = evaluate_corpus(hyps, refs)
+        assert (report.bleu, report.precisions, report.bp) == expected
+        one = sentence_stats(tokenize_13a(hyps[0]), tokenize_13a(refs[0]))
+        assert evaluate_corpus(hyps[:1], refs[:1]).bleu == bleu_from_stats(one)[0]
 
     def test_defaults_leave_optional_scores_out(self):
         report = evaluate_corpus(HYPS, REFS)

@@ -7,6 +7,8 @@ import pytest
 from lrmt.errors import ValidationError
 from lrmt.metrics import ter
 from lrmt.metrics._kernels import (
+    lcs_length,
+    lcs_resume,
     levenshtein_masks,
     levenshtein_prefix_states,
     levenshtein_resume,
@@ -18,6 +20,7 @@ from lrmt.metrics.ter import (
     MAX_SHIFT_DIST,
     MAX_SHIFT_SIZE,
     _best_shift,
+    _lcs_tables,
     _shift_floor,
     ter_sentence,
 )
@@ -253,6 +256,50 @@ def eval_long_pair(rng, n, moves):
     return hyp, ref
 
 
+def block_bounds(hyp, ref):
+    """{(i, size): the least distance shortcut 6 allows a landing of
+    hyp[i:i+size]}, from `_lcs_tables` and one `lcs_resume` as `_scan` reads
+    them; checked against LCS computed from scratch."""
+    ref_masks, m, n = match_masks(ref), len(ref), len(hyp)
+    vectors, block_lcs = _lcs_tables(hyp, ref_masks, m)
+    bounds = {}
+    for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
+        for i in range(n - size + 1):
+            rest = hyp[:i] + hyp[i + size :]
+            cut = m - lcs_resume(hyp[i + size :], ref_masks, m, vectors[i]).bit_count()
+            assert cut == lcs_length(rest, ref)
+            assert block_lcs[i][size - 1] == lcs_length(hyp[i : i + size], ref)
+            bounds[i, size] = max(n, m) - cut - block_lcs[i][size - 1]
+    return bounds
+
+
+def assert_bounds_below_landings(hyp, ref):
+    """Every block's bound is at most its least distance over all landings,
+    also those beyond MAX_SHIFT_DIST; return how many blocks it meets."""
+    ref_masks = match_masks(ref)
+    tight = 0
+    for (i, size), bound in block_bounds(hyp, ref).items():
+        block, rest = hyp[i : i + size], hyp[:i] + hyp[i + size :]
+        landings = [rest[:k] + block + rest[k:] for k in range(len(rest) + 1) if k != i]
+        if landings:
+            least = min(levenshtein_masks(c, ref_masks, len(ref)) for c in landings)
+            assert bound <= least, (hyp, ref, i, size)
+            tight += bound == least
+    return tight
+
+
+def block_of(hyp, tail):
+    """(i, size) of the block a candidate tail starts with, for a `hyp` of
+    distinct tokens: a tail is the block, then tokens that do not follow it
+    in `hyp` (left moves: `hyp[k:i]`, k < i; right moves: `after[k-i:]`,
+    k >= i + size), or nothing."""
+    i = hyp.index(tail[0])
+    size = 0
+    while size < len(tail) and i + size < len(hyp) and tail[size] == hyp[i + size]:
+        size += 1
+    return i, size
+
+
 def sent(text):
     return tokenize_13a(text)
 
@@ -386,6 +433,70 @@ class TestTerSentence:
         assert assert_same_best_shift(list("cba"), list("abc")) is None
         ref = [f"w{j}" for j in range(12)]
         assert_same_best_shift(ref[::-1], ref)
+
+    def test_block_bound_below_every_landing(self):
+        rng = random.Random(60)
+        tight = 0
+        for _ in range(60):
+            vocab = "abcdefgh"[: rng.randrange(1, 9)]
+            hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 17))]
+            ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 17))]
+            tight += assert_bounds_below_landings(hyp, ref)
+        for n in (16, 23, 30):
+            for moves in (1, 2, 3):
+                tight += assert_bounds_below_landings(*eval_long_pair(rng, n, moves))
+        # the bound meets the least distance for some blocks, so it is not
+        # loose everywhere
+        assert tight > 0
+
+    def test_ruled_out_blocks_never_reach_the_kernel(self, monkeypatch):
+        # The first candidate of a block is scored at the best distance the
+        # block was checked against, so its bound must be below it. Distinct
+        # hyp tokens name each tail's block.
+        calls = []
+
+        def counting(a, peq, m, state, low, bound):
+            state_out = levenshtein_resume(a, peq, m, state, low, bound)
+            calls.append((tuple(a), bound))
+            return state_out
+
+        monkeypatch.setattr(ter, "levenshtein_resume", counting)
+        rng = random.Random(61)
+        words = [f"w{j}" for j in range(40)]
+        tried = ruled_out = 0
+        for _ in range(40):
+            n = rng.randrange(4, 21)
+            ref = rng.sample(words, n)
+            hyp = list(ref)
+            for _ in range(rng.randrange(1, 4)):
+                size = rng.randint(1, 3)
+                start = rng.randrange(n - size + 1)
+                block = hyp[start : start + size]
+                del hyp[start : start + size]
+                dest = rng.randrange(len(hyp) + 1)
+                hyp[dest:dest] = block
+            # one substitution by a word the reference lacks
+            hyp[rng.randrange(n)] = rng.choice([w for w in words if w not in ref])
+            ref_masks = match_masks(ref)
+            floor = _shift_floor(hyp, ref)
+            if levenshtein_masks(hyp, ref_masks, len(ref)) <= floor + 1:
+                continue
+            bounds = block_bounds(hyp, ref)
+            calls.clear()
+            _best_shift(hyp, ref_masks, len(ref), floor)
+            # the prefix steps pass a bound above any distance
+            candidates = [(a, bound) for a, bound in calls if bound <= len(hyp) + len(ref)]
+            visits = [
+                (block_of(hyp, a), bound)
+                for j, (a, bound) in enumerate(candidates)
+                if j == 0 or block_of(hyp, a) != block_of(hyp, candidates[j - 1][0])
+            ]
+            for block, bound in visits:
+                assert bounds[block] < bound, (hyp, ref, block)
+            tried += len(visits)
+            start = min(levenshtein_masks(hyp, ref_masks, len(ref)), floor + 2)
+            ruled_out += sum(b >= start for b in bounds.values())
+        assert tried > 0 and ruled_out > 0, (tried, ruled_out)
 
     def test_floor_is_min_over_reorderings(self):
         rng = random.Random(52)
