@@ -31,27 +31,6 @@ def _shift_floor(hyp: Sequence[str], ref: Sequence[str]) -> int:
     return max(len(hyp), len(ref)) - sum((Counter(hyp) & Counter(ref)).values())
 
 
-def _lcs_tables(current: list[str], ref_masks: Mapping[str, int], ref_len: int):
-    """(vectors, block_lcs) for shortcut 6 of `_best_shift`.
-
-    vectors[i] is the LCS bit vector after `current[:i]`, for i in 0..n, and
-    block_lcs[i][s - 1] is LCS(current[i:i+s], ref) for s <= MAX_SHIFT_SIZE.
-    """
-    ones = (1 << ref_len) - 1
-    vectors = [ones]
-    for tok in current:
-        vectors.append(lcs_resume((tok,), ref_masks, ref_len, vectors[-1]))
-    block_lcs = []
-    for i in range(len(current)):
-        v = ones
-        lcs = []
-        for tok in current[i : i + MAX_SHIFT_SIZE]:
-            v = lcs_resume((tok,), ref_masks, ref_len, v)
-            lcs.append(ref_len - v.bit_count())
-        block_lcs.append(lcs)
-    return vectors, block_lcs
-
-
 def _scan(
     current: list[str],
     ref_masks: Mapping[str, int],
@@ -59,7 +38,6 @@ def _scan(
     states: list[LevState],
     starts: list[int],
     lcs_vectors: list[int],
-    block_lcs: list[list[int]],
     best_dist: int,
     floor: int,
 ):
@@ -72,13 +50,16 @@ def _scan(
     unreachable = n + ref_len + 1  # above any distance: the prefix steps never give up
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
+            block = current[i : i + size]
             after = current[i + size :]
-            # shortcut 6: no landing of the block is below longest - cap
-            cut = lcs_resume(after, ref_masks, ref_len, lcs_vectors[i])
-            cap = ref_len - cut.bit_count() + block_lcs[i][size - 1]
+            # shortcut 6: cap = LCS(current[:i] + after) + LCS(block), and no
+            # landing of the block is below longest - cap
+            cap = 2 * ref_len - (
+                lcs_resume(after, ref_masks, ref_len, lcs_vectors[i]).bit_count()
+                + lcs_resume(block, ref_masks, ref_len, lcs_vectors[0]).bit_count()
+            )
             if longest - cap >= best_dist:
                 continue
-            block = current[i : i + size]
             for k in range(max(0, i - MAX_SHIFT_DIST), i - size):
                 if starts[k] >= best_dist:
                     continue
@@ -182,15 +163,19 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
        and s substitutions has distance d = n + m - 2c - s, and
        s <= min(n, m) - c, so d >= max(n, m) - LCS(cand, ref). `B` stays
        contiguous in the candidate, so LCS(cand, ref) <= LCS(R, ref) +
-       LCS(B, ref). `_lcs_tables` builds the LCS vector after each prefix
-       and every LCS(B, ref) once per call; LCS(R, ref) is one `lcs_resume`
-       over `current[i+size:]`.
+       LCS(B, ref). The LCS bit vector after each prefix is built once per
+       call; LCS(R, ref) is one `lcs_resume` over `current[i+size:]` from
+       the vector after `current[:i]`, and LCS(B, ref) one over `B` from
+       the vector before any token.
     """
     n = len(current)
     states = levenshtein_prefix_states(current, ref_masks, ref_len)
     starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
     base = states[-1][2]  # the distance of `current` itself
-    tables = (states, starts, *_lcs_tables(current, ref_masks, ref_len))
+    lcs_vectors = [(1 << ref_len) - 1]
+    for tok in current:
+        lcs_vectors.append(lcs_resume((tok,), ref_masks, ref_len, lcs_vectors[-1]))
+    tables = (states, starts, lcs_vectors)  # what both stages read
     found = _scan(current, ref_masks, ref_len, *tables, min(base, floor + 2), floor)
     if found is None and floor + 2 < base:
         found = _scan(current, ref_masks, ref_len, *tables, base, floor + 2)

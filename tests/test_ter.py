@@ -20,7 +20,6 @@ from lrmt.metrics.ter import (
     MAX_SHIFT_DIST,
     MAX_SHIFT_SIZE,
     _best_shift,
-    _lcs_tables,
     _shift_floor,
     ter_sentence,
 )
@@ -258,18 +257,18 @@ def eval_long_pair(rng, n, moves):
 
 def block_bounds(hyp, ref):
     """{(i, size): the least distance shortcut 6 allows a landing of
-    hyp[i:i+size]}, from `_lcs_tables` and one `lcs_resume` as `_scan` reads
-    them; checked against LCS computed from scratch."""
+    hyp[i:i+size]}, with LCS(hyp without the block, ref) resumed from the
+    vector after hyp[:i] as `_scan` does; checked against `lcs_length`."""
     ref_masks, m, n = match_masks(ref), len(ref), len(hyp)
-    vectors, block_lcs = _lcs_tables(hyp, ref_masks, m)
+    ones = (1 << m) - 1
     bounds = {}
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
-            rest = hyp[:i] + hyp[i + size :]
-            cut = m - lcs_resume(hyp[i + size :], ref_masks, m, vectors[i]).bit_count()
+            block, rest = hyp[i : i + size], hyp[:i] + hyp[i + size :]
+            prefix = lcs_resume(hyp[:i], ref_masks, m, ones)
+            cut = m - lcs_resume(hyp[i + size :], ref_masks, m, prefix).bit_count()
             assert cut == lcs_length(rest, ref)
-            assert block_lcs[i][size - 1] == lcs_length(hyp[i : i + size], ref)
-            bounds[i, size] = max(n, m) - cut - block_lcs[i][size - 1]
+            bounds[i, size] = max(n, m) - cut - lcs_length(block, ref)
     return bounds
 
 
