@@ -12,12 +12,14 @@ of a vector stands for position j of the second sequence `b`; each token of
 `levenshtein_prefix_states` and `levenshtein_resume` let a caller that scores
 many sequences sharing prefixes run the DP over each prefix once, and drop a
 sequence as soon as its distance cannot fall below a bound. TER's shift search
-resumes from the prefixes of the hypothesis and, for the right moves of one
-block, from a prefix state that a one-token `levenshtein_resume` extends by
-one token per landing position. The bound is the value, in the current row,
-of the diagonal that ends in the final cell: DP values never decrease along a
-diagonal (Ukkonen 1985, Inf. Control 64(1-3)), so it never exceeds the
-distance, and it reaches the distance at the last token.
+lands each block at every position of the hypothesis with the block cut out,
+and resumes a landing from the state after the tokens before it: a prefix
+state of the hypothesis up to the block, and beyond it one that a one-token
+`levenshtein_resume` extends by one token per landing position. The bound is
+the value, in the current row, of the diagonal that ends in the final cell:
+DP values never decrease along a diagonal (Ukkonen 1985, Inf. Control
+64(1-3)), so it never exceeds the distance, and it reaches the distance at
+the last token.
 `resume_lower_bound` reads it off a state by two popcounts; the resumed DP
 then follows it with one bit of Hyyrö's diagonal-zero vector per token.
 

@@ -52,44 +52,33 @@ def _scan(
         for i in range(n - size + 1):
             block = current[i : i + size]
             after = current[i + size :]
-            # shortcut 6: cap = LCS(current[:i] + after) + LCS(block), and no
-            # landing of the block is below longest - cap
+            # shortcut 6: cap = LCS(rest) + LCS(block), and no landing of the
+            # block is below longest - cap
             cap = 2 * ref_len - (
                 lcs_resume(after, ref_masks, ref_len, lcs_vectors[i]).bit_count()
                 + lcs_resume(block, ref_masks, ref_len, lcs_vectors[0]).bit_count()
             )
             if longest - cap >= best_dist:
                 continue
-            for k in range(max(0, i - MAX_SHIFT_DIST), i - size):
-                if starts[k] >= best_dist:
-                    continue
-                tail = block + current[k:i] + after
-                state = levenshtein_resume(tail, ref_masks, ref_len, states[k], starts[k], best_dist)
-                if state is not None:
-                    best_dist = state[2]
-                    best = current[:k] + tail
-                    if best_dist == floor:
-                        return best, best_dist
-            last = min(n - size, i + MAX_SHIFT_DIST)
-            if last < i + size or starts[i] >= best_dist:
-                continue
-            # pstate is the DP state after current[:i] + after[:k-i], the
-            # prefix that every right move of this block to k or beyond shares
-            pstate = states[i]
-            for k in range(i + 1, last + 1):
-                tok = (after[k - i - 1],)
-                low = resume_lower_bound(pstate, ref_len, 1)
-                pstate = levenshtein_resume(tok, ref_masks, ref_len, pstate, low, unreachable)
-                low = resume_lower_bound(pstate, ref_len, n - k)
+            rest = current[:i] + after
+            # shortcuts 1-3: the landing at p is rest[:p] + block + rest[p:],
+            # resumed from `state`, after rest[:p], whose diagonal cell is `low`
+            for p in range(max(0, i - MAX_SHIFT_DIST), min(n - size, i + MAX_SHIFT_DIST) + 1):
+                if p <= i:
+                    state, low = states[p], starts[p]
+                else:
+                    step = resume_lower_bound(state, ref_len, 1)
+                    state = levenshtein_resume((rest[p - 1],), ref_masks, ref_len, state, step, unreachable)
+                    low = resume_lower_bound(state, ref_len, n - p)
                 if low >= best_dist:
                     break
-                if k < i + size:
+                if i - size <= p < i + size:
                     continue
-                tail = block + after[k - i :]
-                state = levenshtein_resume(tail, ref_masks, ref_len, pstate, low, best_dist)
-                if state is not None:
-                    best_dist = state[2]
-                    best = current[:i] + after[: k - i] + tail
+                tail = block + rest[p:]
+                found = levenshtein_resume(tail, ref_masks, ref_len, state, low, best_dist)
+                if found is not None:
+                    best_dist = found[2]
+                    best = rest[:p] + tail
                     if best_dist == floor:
                         return best, best_dist
     if best is None:
@@ -109,37 +98,33 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
     Each move swaps two adjacent blocks. Six shortcuts make the search
     cheaper and leave the result exact (Snover et al. 2006; Post 2018):
 
-    1. Moving `current[i:i+size]` left to `k` gives the same sequence as
-       moving `current[k:i]` right by `size`. When `i - k <= size`, that
-       twin is a smaller block, or one of the same size from an earlier
-       source, so the scan has already scored it; likewise a right move by
-       fewer than `size` tokens is the left move of the shorter block it
-       passes. These repeats are skipped: only a strictly lower distance
-       replaces the best, so a repeat could never win. (The twin moves a
-       block of at most MAX_SHIFT_SIZE by at most MAX_SHIFT_SIZE <=
-       MAX_SHIFT_DIST, so both caps admit it.)
-    2. A candidate shares its first `min(i, k)` tokens with `current`, so
-       the DP resumes from the state after that prefix, computed once per
-       call. The right moves of one block share more: with `after =
-       current[i+size:]`, the move to `k` starts with `current[:i] +
-       after[:k-i]`, which grows by one token per `k`. They resume from one
-       running state over that prefix, extended by one token per `k`, and
-       each reads only `block + after[k-i:]`.
+    1. With `B = current[i:i+size]` and `rest = current[:i] +
+       current[i+size:]`, the landing of `B` at `p` is `rest[:p] + B +
+       rest[p:]`, and `p = i` is `current` itself. A landing at `i - size
+       <= p < i` is also the block `current[p:i]` landing `size` places
+       right: a smaller block, or one of the same size from an earlier
+       source, so the scan has already scored it; likewise a landing at
+       `i < p < i + size` is the shorter block `current[i+size:p+size]`
+       landing at `i`. These repeats are skipped: only a strictly lower
+       distance replaces the best, so a repeat could never win. (The twin
+       moves a block of at most MAX_SHIFT_SIZE by at most MAX_SHIFT_SIZE
+       <= MAX_SHIFT_DIST, so both caps admit it.)
+    2. The landing at `p` starts with `rest[:p]`, so the DP resumes from
+       the state after it and reads only `B + rest[p:]`. For `p <= i` that
+       prefix is `current[:p]`, whose state is computed once per call;
+       beyond `i` the loop extends its state by one token, `rest[p-1]`,
+       per landing.
     3. DP values never decrease along a diagonal (Ukkonen 1985), so the
        cell where the final cell's diagonal crosses the current row bounds a
        candidate's distance from below; `levenshtein_resume` abandons the
        candidate once that cell reaches `best_dist`, when it can no longer
-       be strictly lower. A candidate resumed after `k` tokens reads the
-       last `n - k`, so its starting cell, `resume_lower_bound`, is known
-       before its tail is built. For left moves it is computed once per
-       `k`, and a left move landing at `k` is skipped without building a
-       tail while that cell is already `>= best_dist`. Every right move of
-       one block ends in the same final cell, so the running state of
-       shortcut 2 walks down one diagonal, and its cell only rises as `k`
-       grows while `best_dist` only falls: the loop breaks once the cell
-       reaches `best_dist`. Before that state is built, the block's right
-       moves are skipped while the diagonal's cell after `current[:i]`,
-       `starts[i]`, is already `>= best_dist`.
+       be strictly lower. After `rest[:p]` the candidate has `n - p` tokens
+       left, so its starting cell, `resume_lower_bound`, is known before
+       its tail is built (`starts[p]` for `p <= i`). For all landings of
+       one block these cells lie on one diagonal of `rest`'s DP table, row
+       `p` and column `m - n + p`, so they never fall as `p` grows, while
+       `best_dist` only falls: the loop breaks at the first that reaches
+       `best_dist`, and no later landing of the block is built.
     4. No candidate is below `floor` (`_shift_floor`), so the scan returns
        as soon as one reaches it: no later candidate could replace it. The
        second stage of shortcut 5 returns as soon as one reaches
@@ -155,18 +140,17 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
        distance below its start bound. A tighter start bound drops only
        candidates at or above it, so the two stages return the same
        (sequence, distance) as one scan from `base`.
-    6. With `B = current[i:i+size]`, `R = current[:i] + current[i+size:]`,
-       n = len(current) and m = len(ref), a block is skipped, before its
-       tail or running state is built, when
-       `LCS(R, ref) + LCS(B, ref) <= max(n, m) - best_dist`: no landing of
-       `B` is then strictly below `best_dist`. A candidate with c matches
-       and s substitutions has distance d = n + m - 2c - s, and
-       s <= min(n, m) - c, so d >= max(n, m) - LCS(cand, ref). `B` stays
-       contiguous in the candidate, so LCS(cand, ref) <= LCS(R, ref) +
-       LCS(B, ref). The LCS bit vector after each prefix is built once per
-       call; LCS(R, ref) is one `lcs_resume` over `current[i+size:]` from
-       the vector after `current[:i]`, and LCS(B, ref) one over `B` from
-       the vector before any token.
+    6. With n = len(current) and m = len(ref), a block is skipped, before
+       any of its landings is built, when `LCS(rest, ref) + LCS(B, ref) <=
+       max(n, m) - best_dist`: no landing of `B` is then strictly below
+       `best_dist`. A candidate with c matches and s substitutions has
+       distance d = n + m - 2c - s, and s <= min(n, m) - c, so d >= max(n,
+       m) - LCS(cand, ref). `B` stays contiguous in the candidate, so
+       LCS(cand, ref) <= LCS(rest, ref) + LCS(B, ref). The LCS bit vector
+       after each prefix is built once per call; LCS(rest, ref) is one
+       `lcs_resume` over `current[i+size:]` from the vector after
+       `current[:i]`, and LCS(B, ref) one over `B` from the vector before
+       any token.
     """
     n = len(current)
     states = levenshtein_prefix_states(current, ref_masks, ref_len)

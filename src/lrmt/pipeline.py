@@ -133,6 +133,9 @@ def swap_rows(corpus: Corpus, ids: Iterable[str]) -> Corpus:
     Language tags stay put: the columns held the right languages' slots but the
     wrong texts. Applying the same id list twice is the identity.
     """
+    # a str is iterable too, and would name its characters as ids
+    if isinstance(ids, str):
+        raise ValidationError("swap ids must be a collection of ids, not a string")
     wanted = set(ids)
     unknown = wanted - corpus.ids()
     if unknown:
@@ -269,11 +272,24 @@ class OverlapReport:
         )
 
 
+def _check_corpora(corpora: object, what: str) -> None:
+    """Raise ValidationError unless `corpora` is a list or tuple of Corpus; a
+    lone Corpus is iterable too, and would be read pair by pair."""
+    if not isinstance(corpora, (list, tuple)):
+        raise ValidationError(f"{what} are a {type(corpora).__name__}, not a list or tuple of Corpus")
+    for c in corpora:
+        if not isinstance(c, Corpus):
+            raise ValidationError(f"{what} hold a {type(c).__name__}, not a Corpus")
+
+
 def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:
     """Report every train/eval pair sharing identical source text.
 
     Only train-vs-eval is checked; eval-vs-eval sharing is out of scope.
     """
+    if not isinstance(train, Corpus):
+        raise ValidationError(f"train is a {type(train).__name__}, not a Corpus")
+    _check_corpora(eval_sets, "eval sets")
     train_by_text: dict[str, list[str]] = {}
     for p in train:
         train_by_text.setdefault(p.source_text, []).append(p.id)
@@ -317,6 +333,7 @@ def flip_concat(corpus: Corpus) -> Corpus:
 
 def concat(corpora: Sequence[Corpus], name: str = "concat") -> Corpus:
     """Concatenate corpora in order. Pair ids must stay globally unique."""
+    _check_corpora(corpora, "corpora to concatenate")
     pairs: list[SentencePair] = []
     for c in corpora:
         pairs.extend(c.pairs)

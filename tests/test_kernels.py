@@ -154,6 +154,32 @@ class TestResume:
                     rest = [rng.randrange(vocab) for _ in range(rem)]
                     assert low <= lev_oracle(a[:i] + rest, b)
 
+    def test_landing_bounds_rise_along_one_diagonal(self):
+        # TER's landings of a block cut from an n-token `a` resume after
+        # rest[:p] with n - p tokens left: the start bounds are the cells
+        # D[p][m - n + p] of rest's table, one diagonal, so they never fall
+        # as p grows. While that column is below 0, the bound is the cell
+        # where the diagonal enters column 0, D[n - m][0] = n - m.
+        rng = random.Random(84)
+        columns, rises = set(), 0
+        for _ in range(150):
+            vocab = rng.randrange(1, 9)
+            a = [rng.randrange(vocab) for _ in range(rng.randrange(1, 21))]
+            b = [rng.randrange(vocab) for _ in range(rng.randrange(1, 21))]
+            n, m = len(a), len(b)
+            size = rng.randrange(1, n + 1)
+            i = rng.randrange(n - size + 1)
+            rest = a[:i] + a[i + size :]
+            dp = lev_matrix(rest, b)
+            states = levenshtein_prefix_states(rest, match_masks(b), m)
+            lows = [resume_lower_bound(states[p], m, n - p) for p in range(len(rest) + 1)]
+            cells = [dp[p][m - n + p] if m - n + p >= 0 else n - m for p in range(len(rest) + 1)]
+            assert lows == cells, (a, b, i, size)
+            assert lows == sorted(lows), (a, b, i, size)
+            columns.update(m - n + p >= 0 for p in range(len(rest) + 1))
+            rises += lows[-1] > lows[0]
+        assert columns == {False, True} and rises > 0, (columns, rises)
+
     def test_gives_up_on_the_diagonal_before_reading_on(self):
         # After "a f" against a..f the last cell is 4, so the last cell minus
         # the two tokens left is 2, below the bound 3; the diagonal cell

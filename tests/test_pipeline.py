@@ -251,6 +251,15 @@ class TestSwapRows:
         with pytest.raises(ValidationError, match="smoldoc:99"):
             swap_rows(corpus_of(3), ["smoldoc:99"])
 
+    def test_string_of_ids_rejected(self):
+        # a str would name its characters: "ab" would swap pairs "a" and "b",
+        # and one real id would read as unknown ids ':', '0', 'd', ...
+        c = Corpus([pair(0), replace(pair(1), id="a"), replace(pair(2), id="b")])
+        for ids in ("ab", "smoldoc:0"):
+            with pytest.raises(ValidationError, match="not a string"):
+                swap_rows(c, ids)
+        assert swap_rows(c, ("a", "b")).pairs[1].source_text == c.pairs[1].target_text
+
     def test_count_of_changed_rows(self):
         # fixture shaped like a sentence collection with 57 reversed rows
         reversed_ids = {f"smolsent:{i}" for i in range(0, 400, 7)}
@@ -495,6 +504,20 @@ class TestVerifyOverlap:
         report = verify_overlap(parts["train"], [parts["test"], parts["dev"]])
         assert report.passed
 
+    def test_rejects_what_is_not_a_list_of_corpora(self):
+        # a lone Corpus iterates its pairs, which iterate no further
+        train, ev = corpus_of(3), corpus_of(2, GATITOS, start=100)
+        for eval_sets, match in (
+            (ev, "eval sets are a Corpus, not a list or tuple"),
+            (iter([ev]), "eval sets are a list_iterator"),
+            ([ev, ev.pairs], "eval sets hold a tuple, not a Corpus"),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                verify_overlap(train, eval_sets)
+        with pytest.raises(ValidationError, match="train is a list, not a Corpus"):
+            verify_overlap([train], [ev])
+        assert verify_overlap(train, (ev,)).checked_pairs == 2
+
     def test_json_and_text_rendering(self):
         report = OverlapReport(checked_pairs=2, collisions=(("a:1", "b:2", "text here"),))
         assert '"passed": false' in report.to_json()
@@ -546,3 +569,14 @@ class TestConcat:
     def test_id_collision_rejected(self):
         with pytest.raises(ValidationError):
             concat([corpus_of(3), corpus_of(3)])
+
+    def test_rejects_what_is_not_a_list_of_corpora(self):
+        a = corpus_of(3)
+        for corpora, match in (
+            (a, "are a Corpus, not a list or tuple"),
+            ({a}, "are a set, not a list or tuple"),
+            ([a, a.pairs[0]], "hold a SentencePair, not a Corpus"),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                concat(corpora)
+        assert concat((a,)).pairs == a.pairs

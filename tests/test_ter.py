@@ -20,6 +20,7 @@ from lrmt.metrics.ter import (
     MAX_SHIFT_DIST,
     MAX_SHIFT_SIZE,
     _best_shift,
+    _scan,
     _shift_floor,
     ter_sentence,
 )
@@ -138,6 +139,87 @@ def fixed_prefix_best_shift(current, ref_masks, ref_len, floor):
     if found is None and floor + 2 < base:
         found = fixed_prefix_scan(current, ref_masks, ref_len, states, starts, base, floor + 2)
     return found
+
+
+def two_loop_scan(current, ref_masks, ref_len, states, starts, lcs_vectors, best_dist, floor):
+    """`_scan` before its landings shared one loop: left moves resume from
+    `states[k]` and are skipped while `starts[k] >= best_dist`; right moves
+    resume from a running prefix state, are skipped while `starts[i] >=
+    best_dist`, and break once the running state's cell reaches it. Its
+    kernel calls go through the `ter` module, so a test can record them."""
+    best = None
+    n = len(current)
+    longest = max(n, ref_len)
+    unreachable = n + ref_len + 1
+    for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
+        for i in range(n - size + 1):
+            block = current[i : i + size]
+            after = current[i + size :]
+            cap = 2 * ref_len - (
+                lcs_resume(after, ref_masks, ref_len, lcs_vectors[i]).bit_count()
+                + lcs_resume(block, ref_masks, ref_len, lcs_vectors[0]).bit_count()
+            )
+            if longest - cap >= best_dist:
+                continue
+            for k in range(max(0, i - MAX_SHIFT_DIST), i - size):
+                if starts[k] >= best_dist:
+                    continue
+                tail = block + current[k:i] + after
+                state = ter.levenshtein_resume(tail, ref_masks, ref_len, states[k], starts[k], best_dist)
+                if state is not None:
+                    best_dist = state[2]
+                    best = current[:k] + tail
+                    if best_dist == floor:
+                        return best, best_dist
+            last = min(n - size, i + MAX_SHIFT_DIST)
+            if last < i + size or starts[i] >= best_dist:
+                continue
+            pstate = states[i]
+            for k in range(i + 1, last + 1):
+                tok = (after[k - i - 1],)
+                low = resume_lower_bound(pstate, ref_len, 1)
+                pstate = ter.levenshtein_resume(tok, ref_masks, ref_len, pstate, low, unreachable)
+                low = resume_lower_bound(pstate, ref_len, n - k)
+                if low >= best_dist:
+                    break
+                if k < i + size:
+                    continue
+                tail = block + after[k - i :]
+                state = ter.levenshtein_resume(tail, ref_masks, ref_len, pstate, low, best_dist)
+                if state is not None:
+                    best_dist = state[2]
+                    best = current[:i] + after[: k - i] + tail
+                    if best_dist == floor:
+                        return best, best_dist
+    if best is None:
+        return None
+    return best, best_dist
+
+
+def candidate_calls(monkeypatch, scan, hyp, ref):
+    """ter_sentence's result with `scan` as `_best_shift`'s scan, and every
+    candidate call it made to `levenshtein_resume`: (tokens, state, low,
+    bound), in order."""
+    calls = []
+
+    def recording(a, peq, m, state, low, bound):
+        # the prefix steps pass a bound above any distance
+        if bound <= len(hyp) + len(ref):
+            calls.append((tuple(a), state, low, bound))
+        return levenshtein_resume(a, peq, m, state, low, bound)
+
+    monkeypatch.setattr(ter, "levenshtein_resume", recording)
+    monkeypatch.setattr(ter, "_scan", scan)
+    return ter_sentence(toks(*hyp), toks(*ref)), calls
+
+
+def assert_same_candidates(monkeypatch, hyp, ref):
+    """Check that `_scan` and `two_loop_scan` score the same candidates from
+    the same states, in the same order, at every move of ter_sentence's
+    loop; return how many there were."""
+    expected = candidate_calls(monkeypatch, two_loop_scan, hyp, ref)
+    assert candidate_calls(monkeypatch, _scan, hyp, ref) == expected, (hyp, ref)
+    return len(expected[1])
 
 
 def best_shift(hyp, ref):
@@ -408,6 +490,29 @@ class TestTerSentence:
             edits = assert_same_shift_path(hyp, ref)
             assert ter_sentence(toks(*hyp), toks(*ref))[0] == edits, (hyp, ref)
 
+    def test_same_candidates_as_two_loop_scan(self, monkeypatch):
+        rng = random.Random(62)
+        calls = 0
+        for _ in range(80):
+            vocab = "abcd"[: rng.randrange(1, 5)]
+            hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 21))]
+            ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 21))]
+            calls += assert_same_candidates(monkeypatch, hyp, ref)
+        assert calls > 0
+
+    def test_same_candidates_as_two_loop_scan_on_permutations(self, monkeypatch):
+        ref = list("abcdef")
+        calls = sum(assert_same_candidates(monkeypatch, list(hyp), ref) for hyp in itertools.permutations(ref))
+        assert calls > 0
+
+    def test_same_candidates_as_two_loop_scan_on_eval_long_pairs(self, monkeypatch):
+        # from 52 tokens on, MAX_SHIFT_DIST ends some blocks' landings on
+        # both sides before the ends of the segment
+        rng = random.Random(63)
+        for n in (16, 30, 52, 64):
+            for moves in (1, 2, 3):
+                assert assert_same_candidates(monkeypatch, *eval_long_pair(rng, n, moves)) > 0
+
     def test_running_bound_breaks_right_moves(self, monkeypatch):
         # "x" can land at k = 1..4. From k = 3 on, every landing starts with
         # "a b c", whose cell on the final cell's diagonal (D[3][3] against
@@ -535,8 +640,8 @@ class TestTerSentence:
             assert edits == floorless_edits(hyp, ref), (hyp, ref)
 
     def test_long_segments_match_plain_scan(self):
-        # the lengths where the diagonal bound and the start-column skip
-        # prune most; the cases above stay under 13 tokens. A shift usually
+        # the lengths where the diagonal bound and its break prune most;
+        # the cases above stay under 13 tokens. A shift usually
         # fixes one block move to within one edit of the floor, but not two.
         rng = random.Random(54)
         stages = Counter()
