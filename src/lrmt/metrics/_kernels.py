@@ -25,9 +25,14 @@ then follows it with one bit of Hyyrö's diagonal-zero vector per token.
 
 `lcs_resume` does the same for LCS: it continues a bit vector from the one
 after some prefix, and `lcs_length` is that step from the all-ones vector.
-TER's shift search keeps the vector after each prefix of the hypothesis, so
-the LCS of the hypothesis with one block cut out is one resume over the
-tokens after the block; it bounds every landing of that block from below.
+`lcs_prefix_vectors` returns the vector after every prefix in one pass. TER's
+shift search bounds every landing of a block from below by the LCS of the
+block plus that of the hypothesis with the block cut out. It keeps the
+vectors after each prefix of the hypothesis, and after each prefix of the
+reversed hypothesis against the reversed reference, which give the LCS of
+every prefix and every suffix; their sum around a block bounds the LCS of
+the rest, and only when that does not rule the block out is the exact LCS
+of the rest one resume over the tokens after the block.
 
 Tokens need only be hashable. `benchmarks/run.py --trace 1` reports the
 `metrics.kernels.levenshtein_us` and `metrics.kernels.lcs_us` timings.
@@ -162,6 +167,22 @@ def lcs_resume(a: Sequence[Hashable], peq: Mapping[Hashable, int], m: int, v: in
         u = v & peq.get(tok, 0)
         v = ((v + u) | (v - u)) & mask
     return v
+
+
+def lcs_prefix_vectors(a: Sequence[Hashable], peq: Mapping[Hashable, int], m: int) -> list[int]:
+    """The LCS bit vector after each prefix `a[:0]`, ..., `a[:len(a)]`.
+
+    Entry k is `lcs_resume(a[:k], peq, m, (1 << m) - 1)`, so the LCS of
+    `a[:k]` with `b` is `m - entry.bit_count()`.
+    """
+    mask = (1 << m) - 1
+    v = mask
+    vectors = [v]
+    for tok in a:
+        u = v & peq.get(tok, 0)
+        v = ((v + u) | (v - u)) & mask
+        vectors.append(v)
+    return vectors
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:

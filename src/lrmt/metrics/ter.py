@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 from ..errors import ValidationError
 from ._kernels import (
     LevState,
+    lcs_prefix_vectors,
     lcs_resume,
     levenshtein_masks,
     levenshtein_prefix_states,
@@ -38,6 +39,8 @@ def _scan(
     states: list[LevState],
     starts: list[int],
     lcs_vectors: list[int],
+    pre: list[int],
+    suf: list[int],
     best_dist: int,
     floor: int,
 ):
@@ -48,18 +51,20 @@ def _scan(
     n = len(current)
     longest = max(n, ref_len)
     unreachable = n + ref_len + 1  # above any distance: the prefix steps never give up
+    blocks = lcs_vectors[:1] * n  # the LCS vector of current[i:i+size], per start i
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
-            block = current[i : i + size]
-            after = current[i + size :]
-            # shortcut 6: cap = LCS(rest) + LCS(block), and no landing of the
-            # block is below longest - cap
-            cap = 2 * ref_len - (
-                lcs_resume(after, ref_masks, ref_len, lcs_vectors[i]).bit_count()
-                + lcs_resume(block, ref_masks, ref_len, lcs_vectors[0]).bit_count()
-            )
-            if longest - cap >= best_dist:
+            blocks[i] = lcs_resume((current[i + size - 1],), ref_masks, ref_len, blocks[i])
+            # shortcut 6: no landing of the block is below longest - (LCS(block)
+            # + LCS(rest)); LCS(rest) <= pre[i] + suf[i+size], which is tried first
+            in_block = ref_len - blocks[i].bit_count()
+            if longest - (in_block + pre[i] + suf[i + size]) >= best_dist:
                 continue
+            after = current[i + size :]
+            in_rest = ref_len - lcs_resume(after, ref_masks, ref_len, lcs_vectors[i]).bit_count()
+            if longest - (in_block + in_rest) >= best_dist:
+                continue
+            block = current[i : i + size]
             rest = current[:i] + after
             # shortcuts 1-3: the landing at p is rest[:p] + block + rest[p:],
             # resumed from `state`, after rest[:p], whose diagonal cell is `low`
@@ -86,14 +91,21 @@ def _scan(
     return best, best_dist
 
 
-def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, floor: int):
+def _best_shift(
+    current: list[str],
+    ref_masks: Mapping[str, int],
+    rev_masks: Mapping[str, int],
+    ref_len: int,
+    floor: int,
+):
     """The single block move that reduces edit distance the most.
 
     Every contiguous block up to the size cap is tried at every landing
     position within the distance cap; ties keep the first candidate in scan
     order (block size, then source, then destination), so the search is
     deterministic. Returns (new_hyp, new_dist) or None when nothing strictly
-    improves.
+    improves. `ref_masks` and `rev_masks` are the `match_masks` of the
+    reference and of the reversed reference.
 
     Each move swaps two adjacent blocks. Six shortcuts make the search
     cheaper and leave the result exact (Snover et al. 2006; Post 2018):
@@ -146,20 +158,30 @@ def _best_shift(current: list[str], ref_masks: Mapping[str, int], ref_len: int, 
        `best_dist`. A candidate with c matches and s substitutions has
        distance d = n + m - 2c - s, and s <= min(n, m) - c, so d >= max(n,
        m) - LCS(cand, ref). `B` stays contiguous in the candidate, so
-       LCS(cand, ref) <= LCS(rest, ref) + LCS(B, ref). The LCS bit vector
-       after each prefix is built once per call; LCS(rest, ref) is one
-       `lcs_resume` over `current[i+size:]` from the vector after
-       `current[:i]`, and LCS(B, ref) one over `B` from the vector before
-       any token.
+       LCS(cand, ref) <= LCS(rest, ref) + LCS(B, ref). The test has two
+       tiers, which skip the same blocks. LCS(rest, ref) <= pre[i] +
+       suf[i+size], with pre[k] = LCS(current[:k], ref) and suf[k] =
+       LCS(current[k:], ref): an alignment of `rest` splits into one of
+       each part. Both tables are built once per call, `suf` by a pass over
+       the reversed hypothesis against the reversed reference, since
+       LCS(x, y) = LCS(rev x, rev y). The block is skipped at once when
+       that sum rules it out; only otherwise is the exact LCS(rest, ref)
+       resumed over `current[i+size:]` from the LCS vector after
+       `current[:i]`. The first tier's bound is never above the exact one,
+       so it skips only blocks that the exact test skips. The scan keeps
+       one LCS vector per block start, and since it runs size by size,
+       LCS(B, ref) is one token's step from the vector of the block one
+       shorter.
     """
     n = len(current)
     states = levenshtein_prefix_states(current, ref_masks, ref_len)
     starts = [resume_lower_bound(state, ref_len, n - k) for k, state in enumerate(states)]
     base = states[-1][2]  # the distance of `current` itself
-    lcs_vectors = [(1 << ref_len) - 1]
-    for tok in current:
-        lcs_vectors.append(lcs_resume((tok,), ref_masks, ref_len, lcs_vectors[-1]))
-    tables = (states, starts, lcs_vectors)  # what both stages read
+    lcs_vectors = lcs_prefix_vectors(current, ref_masks, ref_len)
+    pre = [ref_len - v.bit_count() for v in lcs_vectors]
+    backward = lcs_prefix_vectors(current[::-1], rev_masks, ref_len)
+    suf = [ref_len - v.bit_count() for v in reversed(backward)]
+    tables = (states, starts, lcs_vectors, pre, suf)  # what both stages read
     found = _scan(current, ref_masks, ref_len, *tables, min(base, floor + 2), floor)
     if found is None and floor + 2 < base:
         found = _scan(current, ref_masks, ref_len, *tables, base, floor + 2)
@@ -185,8 +207,10 @@ def ter_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> tuple[int, f
     shifts = 0
     dist = levenshtein_masks(current, ref_masks, len(ref))
     floor = _shift_floor(current, ref.tokens) if dist > 1 else 0
+    if dist > floor + 1:
+        rev_masks = match_masks(ref.tokens[::-1])
     while dist > floor + 1:
-        found = _best_shift(current, ref_masks, len(ref), floor)
+        found = _best_shift(current, ref_masks, rev_masks, len(ref), floor)
         if found is None:
             break
         current, dist = found

@@ -9,13 +9,10 @@ embedding service is only touched at that one boundary.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import operator
 import time
-import urllib.error
-import urllib.request
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -23,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .corpus import Corpus, SentencePair, check_count, check_number, check_score
 from .errors import ProviderError, ValidationError
+from .metrics.tokenizer import check_text
 from .pipeline import hash_sorted
 
 MAX_EMBED_BATCH = 512  # server-side request cap
@@ -238,10 +236,21 @@ class EmbeddingClient:
         self._sleep = sleep
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
+        # a str would be sent as one text per character
+        if isinstance(texts, str):
+            raise ValidationError(f"embed texts {texts!r} is a string, not a sequence of strings")
         if not 1 <= len(texts) <= MAX_EMBED_BATCH:
             raise ValidationError(
                 f"embed batch size {len(texts)} outside 1..{MAX_EMBED_BATCH}"
             )
+        for text in texts:
+            check_text(text)
+        # imported here, not at module level: they pull in email and ssl,
+        # which nothing but this request needs
+        import http.client
+        import urllib.error
+        import urllib.request
+
         data = json.dumps({"texts": list(texts)}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         request = urllib.request.Request(f"{self.base_url}/embed", data, headers)

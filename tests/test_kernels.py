@@ -9,6 +9,7 @@ import pytest
 import lrmt.metrics
 from lrmt.metrics._kernels import (
     lcs_length,
+    lcs_prefix_vectors,
     lcs_resume,
     levenshtein,
     levenshtein_masks,
@@ -241,6 +242,27 @@ class TestLcs:
                 for rest in (a[p:], rng.sample(a[p:], len(a) - p), fresh):
                     assert m - lcs_resume(rest, peq, m, v).bit_count() == lcs_oracle(a[:p] + rest, b)
                 assert lcs_resume(a[p:], peq, m, v) == vectors[-1]
+
+    def test_prefix_vectors_chain_one_token_steps(self):
+        # m >= 65 spans more than one 64-bit word; small vocabularies repeat
+        # tokens on both sides
+        rng = random.Random(80)
+        for _ in range(40):
+            vocab = rng.randrange(1, 9)
+            a = [rng.randrange(vocab) for _ in range(rng.randrange(0, 81))]
+            b = [rng.randrange(vocab) for _ in range(rng.randrange(65, 101))]
+            m = len(b)
+            peq = match_masks(b)
+            vectors = lcs_prefix_vectors(a, peq, m)
+            chained = [(1 << m) - 1]
+            for tok in a:
+                chained.append(lcs_resume((tok,), peq, m, chained[-1]))
+            assert vectors == chained
+            # the pass over both sides reversed gives the LCS of every suffix,
+            # since LCS(x, y) = LCS(rev x, rev y)
+            backward = lcs_prefix_vectors(a[::-1], match_masks(b[::-1]), m)
+            suffixes = [m - v.bit_count() for v in reversed(backward)]
+            assert suffixes == [lcs_oracle(a[k:], b) for k in range(len(a) + 1)]
 
 
 class TestBackends:

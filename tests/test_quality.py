@@ -3,12 +3,17 @@ import math
 import random
 import re
 import statistics
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+
+import lrmt
 
 from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
 from lrmt.errors import ProviderError, ValidationError
@@ -509,6 +514,31 @@ class TestEmbeddingClient:
         # are no numbers
         with pytest.raises(ValidationError, match="timeout"):
             EmbeddingClient("http://127.0.0.1:8000", timeout=timeout)
+
+    @pytest.mark.parametrize(
+        "texts, what",
+        [("smol:3", "is a string"), (["ab", None], "None"), ([1, "ab"], "1"), ([b"ab"], "b'ab'")],
+        ids=["str", "none", "int", "bytes"],
+    )
+    def test_non_text_rejected_before_any_request(self, serve, texts, what):
+        # a str would go out as one text per character
+        server, client = serve((200, None))
+        with pytest.raises(ValidationError, match=re.escape(what)):
+            client.embed(texts)
+        assert server.requests == 0
+
+    def test_http_stack_imported_only_by_embed(self):
+        # http.client and urllib.request pull in email and ssl, which no
+        # evaluation path needs
+        src = str(Path(lrmt.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import lrmt.pipeline, lrmt.quality, lrmt.metrics\n"
+            "print(sorted({'http.client', 'urllib.request'} & set(sys.modules)))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_unreachable(self, serve):
         server, client = serve((200, None))

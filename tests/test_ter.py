@@ -8,6 +8,7 @@ from lrmt.errors import ValidationError
 from lrmt.metrics import ter
 from lrmt.metrics._kernels import (
     lcs_length,
+    lcs_prefix_vectors,
     lcs_resume,
     levenshtein_masks,
     levenshtein_prefix_states,
@@ -141,12 +142,14 @@ def fixed_prefix_best_shift(current, ref_masks, ref_len, floor):
     return found
 
 
-def two_loop_scan(current, ref_masks, ref_len, states, starts, lcs_vectors, best_dist, floor):
+def two_loop_scan(current, ref_masks, ref_len, states, starts, lcs_vectors, pre, suf, best_dist, floor):
     """`_scan` before its landings shared one loop: left moves resume from
     `states[k]` and are skipped while `starts[k] >= best_dist`; right moves
     resume from a running prefix state, are skipped while `starts[i] >=
-    best_dist`, and break once the running state's cell reaches it. Its
-    kernel calls go through the `ter` module, so a test can record them."""
+    best_dist`, and break once the running state's cell reaches it. It
+    checks every block by the exact LCS bound alone, so it ignores the
+    prefix and suffix LCS tables `pre` and `suf`. Its kernel calls go
+    through the `ter` module, so a test can record them."""
     best = None
     n = len(current)
     longest = max(n, ref_len)
@@ -224,7 +227,7 @@ def assert_same_candidates(monkeypatch, hyp, ref):
 
 def best_shift(hyp, ref):
     """_best_shift with the floor ter_sentence gives it."""
-    return _best_shift(hyp, match_masks(ref), len(ref), _shift_floor(hyp, ref))
+    return _best_shift(hyp, match_masks(ref), match_masks(ref[::-1]), len(ref), _shift_floor(hyp, ref))
 
 
 def assert_same_best_shift(hyp, ref):
@@ -247,7 +250,7 @@ def assert_same_shift_path(hyp, ref):
     dist = levenshtein_masks(current, ref_masks, len(ref))
     floor = _shift_floor(current, ref)
     while dist > floor + 1:
-        found = _best_shift(current, ref_masks, len(ref), floor)
+        found = _best_shift(current, ref_masks, match_masks(ref[::-1]), len(ref), floor)
         assert found == fixed_prefix_best_shift(current, ref_masks, len(ref), floor), (current, ref)
         if found is None:
             break
@@ -308,7 +311,7 @@ def always_floor_ter(hyp, ref):
     dist = levenshtein_masks(current, ref_masks, len(ref))
     floor = _shift_floor(current, ref)
     while dist > floor + 1:
-        found = _best_shift(current, ref_masks, len(ref), floor)
+        found = _best_shift(current, ref_masks, match_masks(ref[::-1]), len(ref), floor)
         if found is None:
             break
         current, dist = found
@@ -337,36 +340,63 @@ def eval_long_pair(rng, n, moves):
     return hyp, ref
 
 
+def scan_tables(hyp, ref):
+    """The tables `_best_shift` hands its scan: (states, starts,
+    lcs_vectors, pre, suf)."""
+    seen = []
+
+    def recording(current, ref_masks, ref_len, *tables_and_bounds):
+        seen.append(tables_and_bounds[:-2])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ter, "_scan", recording)
+        best_shift(hyp, ref)
+    return seen[0]
+
+
 def block_bounds(hyp, ref):
-    """{(i, size): the least distance shortcut 6 allows a landing of
-    hyp[i:i+size]}, with LCS(hyp without the block, ref) resumed from the
-    vector after hyp[:i] as `_scan` does; checked against `lcs_length`."""
+    """{(i, size): (first tier, exact)}, the least distance each tier of
+    shortcut 6 allows a landing of hyp[i:i+size]. The first tier reads
+    `_best_shift`'s `pre` and `suf` tables, the exact one resumes LCS(hyp
+    without the block, ref) from its vector after hyp[:i], and LCS(block,
+    ref) is one token's step from the vector of the block one shorter, as
+    `_scan` does; each is checked against `lcs_length`."""
     ref_masks, m, n = match_masks(ref), len(ref), len(hyp)
-    ones = (1 << m) - 1
+    _, _, vectors, pre, suf = scan_tables(hyp, ref)
+    assert pre == [lcs_length(hyp[:k], ref) for k in range(n + 1)]
+    assert suf == [lcs_length(hyp[k:], ref) for k in range(n + 1)]
+    blocks = vectors[:1] * n
     bounds = {}
     for size in range(1, min(MAX_SHIFT_SIZE, n) + 1):
         for i in range(n - size + 1):
             block, rest = hyp[i : i + size], hyp[:i] + hyp[i + size :]
-            prefix = lcs_resume(hyp[:i], ref_masks, m, ones)
-            cut = m - lcs_resume(hyp[i + size :], ref_masks, m, prefix).bit_count()
+            blocks[i] = lcs_resume((hyp[i + size - 1],), ref_masks, m, blocks[i])
+            in_block = m - blocks[i].bit_count()
+            assert in_block == lcs_length(block, ref)
+            cut = m - lcs_resume(hyp[i + size :], ref_masks, m, vectors[i]).bit_count()
             assert cut == lcs_length(rest, ref)
-            bounds[i, size] = max(n, m) - cut - lcs_length(block, ref)
+            exact = max(n, m) - cut - in_block
+            bounds[i, size] = (exact - (pre[i] + suf[i + size] - cut), exact)
     return bounds
 
 
 def assert_bounds_below_landings(hyp, ref):
-    """Every block's bound is at most its least distance over all landings,
-    also those beyond MAX_SHIFT_DIST; return how many blocks it meets."""
+    """Every block's first-tier bound is at most its exact bound, which is at
+    most its least distance over all landings, also those beyond
+    MAX_SHIFT_DIST; return how many blocks the exact bound meets, and at how
+    many the first tier equals it."""
     ref_masks = match_masks(ref)
-    tight = 0
-    for (i, size), bound in block_bounds(hyp, ref).items():
+    tight = same = 0
+    for (i, size), (first, exact) in block_bounds(hyp, ref).items():
+        assert first <= exact, (hyp, ref, i, size)
+        same += first == exact
         block, rest = hyp[i : i + size], hyp[:i] + hyp[i + size :]
         landings = [rest[:k] + block + rest[k:] for k in range(len(rest) + 1) if k != i]
         if landings:
             least = min(levenshtein_masks(c, ref_masks, len(ref)) for c in landings)
-            assert bound <= least, (hyp, ref, i, size)
-            tight += bound == least
-    return tight
+            assert exact <= least, (hyp, ref, i, size)
+            tight += exact == least
+    return tight, same
 
 
 def block_of(hyp, tail):
@@ -540,18 +570,23 @@ class TestTerSentence:
 
     def test_block_bound_below_every_landing(self):
         rng = random.Random(60)
-        tight = 0
+        pairs = []
         for _ in range(60):
             vocab = "abcdefgh"[: rng.randrange(1, 9)]
             hyp = [rng.choice(vocab) for _ in range(rng.randrange(0, 17))]
             ref = [rng.choice(vocab) for _ in range(rng.randrange(1, 17))]
-            tight += assert_bounds_below_landings(hyp, ref)
+            pairs.append((hyp, ref))
         for n in (16, 23, 30):
             for moves in (1, 2, 3):
-                tight += assert_bounds_below_landings(*eval_long_pair(rng, n, moves))
-        # the bound meets the least distance for some blocks, so it is not
-        # loose everywhere
-        assert tight > 0
+                pairs.append(eval_long_pair(rng, n, moves))
+        # a reference of 65 tokens and up spans more than one 64-bit word of
+        # the LCS vectors
+        pairs.append(eval_long_pair(rng, 66, 2))
+        tight, same = map(sum, zip(*(assert_bounds_below_landings(hyp, ref) for hyp, ref in pairs)))
+        # the exact bound meets the least distance for some blocks, so it is
+        # not loose everywhere; the first tier equals it for some, so it
+        # settles those blocks alone
+        assert tight > 0 and same > 0
 
     def test_ruled_out_blocks_never_reach_the_kernel(self, monkeypatch):
         # The first candidate of a block is scored at the best distance the
@@ -586,7 +621,7 @@ class TestTerSentence:
                 continue
             bounds = block_bounds(hyp, ref)
             calls.clear()
-            _best_shift(hyp, ref_masks, len(ref), floor)
+            _best_shift(hyp, ref_masks, match_masks(ref[::-1]), len(ref), floor)
             # the prefix steps pass a bound above any distance
             candidates = [(a, bound) for a, bound in calls if bound <= len(hyp) + len(ref)]
             visits = [
@@ -595,10 +630,10 @@ class TestTerSentence:
                 if j == 0 or block_of(hyp, a) != block_of(hyp, candidates[j - 1][0])
             ]
             for block, bound in visits:
-                assert bounds[block] < bound, (hyp, ref, block)
+                assert bounds[block][1] < bound, (hyp, ref, block)
             tried += len(visits)
             start = min(levenshtein_masks(hyp, ref_masks, len(ref)), floor + 2)
-            ruled_out += sum(b >= start for b in bounds.values())
+            ruled_out += sum(exact >= start for _, exact in bounds.values())
         assert tried > 0 and ruled_out > 0, (tried, ruled_out)
 
     def test_floor_is_min_over_reorderings(self):
