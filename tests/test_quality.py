@@ -7,14 +7,13 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
-from pathlib import Path
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lrmt
-
 from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
 from lrmt.errors import ProviderError, ValidationError
 from lrmt.metrics import evaluate_corpus

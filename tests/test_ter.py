@@ -8,7 +8,6 @@ from lrmt.errors import ValidationError
 from lrmt.metrics import ter
 from lrmt.metrics._kernels import (
     lcs_length,
-    lcs_prefix_vectors,
     lcs_resume,
     levenshtein_masks,
     levenshtein_prefix_states,
@@ -375,8 +374,8 @@ def block_bounds(hyp, ref):
             assert in_block == lcs_length(block, ref)
             cut = m - lcs_resume(hyp[i + size :], ref_masks, m, vectors[i]).bit_count()
             assert cut == lcs_length(rest, ref)
-            exact = max(n, m) - cut - in_block
-            bounds[i, size] = (exact - (pre[i] + suf[i + size] - cut), exact)
+            longest = max(n, m)
+            bounds[i, size] = (longest - pre[i] - suf[i + size] - in_block, longest - cut - in_block)
     return bounds
 
 
@@ -584,8 +583,8 @@ class TestTerSentence:
         pairs.append(eval_long_pair(rng, 66, 2))
         tight, same = map(sum, zip(*(assert_bounds_below_landings(hyp, ref) for hyp, ref in pairs)))
         # the exact bound meets the least distance for some blocks, so it is
-        # not loose everywhere; the first tier equals it for some, so it
-        # settles those blocks alone
+        # not loose everywhere; the first tier equals it for some, which then
+        # never need the exact resume
         assert tight > 0 and same > 0
 
     def test_ruled_out_blocks_never_reach_the_kernel(self, monkeypatch):
