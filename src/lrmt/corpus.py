@@ -14,6 +14,7 @@ import re
 import sys
 import unicodedata
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -72,10 +73,13 @@ def normalize_text(raw: str) -> str:
 
 def _shown(x: object) -> str:
     """repr(x), but an int beyond float range by its size: repr raises
-    ValueError on an int of more than sys.get_int_max_str_digits() digits."""
+    ValueError on an int of over sys.get_int_max_str_digits() digits, or on x holding one."""
     if isinstance(x, int) and x.bit_length() > sys.float_info.max_exp:
         return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
-    return repr(x)
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} holding an int of too many digits>"
 
 
 def check_number(x: object, what: str, low: float, high: float) -> None:
@@ -99,6 +103,18 @@ def check_count(x: object, what: str, low: int) -> None:
     Raises ValidationError naming `what`."""
     if type(x) is not int or x < low:
         raise ValidationError(f"{what} {_shown(x)} is not an integer >= {low}")
+
+
+def check_items(x: object, what: str, kind: type) -> None:
+    """The container rule: a list or tuple whose every item is a `kind`, so a
+    str, set, dict, iterator or lone object raises ValidationError naming
+    `what`. A caller whose items another rule checks passes `object`."""
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(f"{what} must be a list or tuple, not {type(x).__name__}")
+    # one pass at C speed; the offending item is looked for only on failure
+    if not all(map(isinstance, x, repeat(kind))):
+        i, item = next((i, item) for i, item in enumerate(x) if not isinstance(item, kind))
+        raise ValidationError(f"{what} item {i} must be {kind.__name__}, not {type(item).__name__}: {_shown(item)}")
 
 
 def check_score(score: object, what: str) -> None:
@@ -149,13 +165,10 @@ class Corpus:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValidationError(f"corpus name {self.name!r} is not a string")
-        if not isinstance(self.pairs, (list, tuple)):
-            raise ValidationError(f"corpus {self.name!r}: pairs are a {type(self.pairs).__name__}, not a list or tuple")
+        check_items(self.pairs, f"corpus {self.name!r}: pairs", SentencePair)
         object.__setattr__(self, "pairs", tuple(self.pairs))
         seen: set[str] = set()
         for pair in self.pairs:
-            if not isinstance(pair, SentencePair):
-                raise ValidationError(f"corpus {self.name!r}: {pair!r} is not a SentencePair")
             if pair.id in seen:
                 raise ValidationError(f"corpus {self.name!r}: duplicate pair id {pair.id!r}")
             seen.add(pair.id)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .. import __version__
+from ..corpus import check_count, check_items
 from ..errors import ValidationError
 from .tokenizer import TokenizedSentence, ngram_stats, total
 
@@ -21,6 +23,7 @@ class BleuStats:
     clipped[n-1] / totals[n-1] hold clipped matches and hypothesis n-gram
     counts for order n. Corpus stats are the componentwise sum of sentence
     stats; summation order never changes the result (all fields are ints).
+    `clipped` and `totals` are MAX_ORDER counts each, kept as tuples, clipped <= totals.
     """
 
     clipped: tuple[int, int, int, int]
@@ -29,9 +32,18 @@ class BleuStats:
     ref_len: int
 
     def __post_init__(self) -> None:
-        for c, t in zip(self.clipped, self.totals):
-            if not 0 <= c <= t:
-                raise ValidationError(f"clipped matches {self.clipped} exceed totals {self.totals}")
+        check_items(self.clipped, "clipped", int)
+        check_items(self.totals, "totals", int)
+        check_count(self.hyp_len, "hyp_len", 0)
+        check_count(self.ref_len, "ref_len", 0)
+        c, t = tuple(self.clipped), tuple(self.totals)
+        object.__setattr__(self, "clipped", c)
+        object.__setattr__(self, "totals", t)
+        # C-level tests, as every segment builds one; a bool is an int too
+        if len(c) != MAX_ORDER or len(t) != MAX_ORDER or bool in map(type, c + t):
+            raise ValidationError(f"BLEU clipped {c} and totals {t} are not {MAX_ORDER} counts each")
+        if min(c) < 0 or not all(map(operator.le, c, t)):
+            raise ValidationError(f"clipped matches {c} exceed totals {t}")
 
     def __add__(self, other: "BleuStats") -> "BleuStats":
         return BleuStats(

@@ -26,7 +26,7 @@ def chrf(hyps: list[str], refs: list[str]) -> float:
     where neither side produced any n-grams are left out of the mean; an order
     with grams on one side only contributes an F of 0.
     """
-    check_parallel(hyps, refs)
+    check_parallel(hyps, refs, str)
     segments = [chrf_stats(h, r) for h, r in zip(hyps, refs)]
     sums = (map(sum, zip(*order)) for order in zip(*segments))
     f = [f_measure(m, h, r, BETA) for m, h, r in sums if h or r]

@@ -43,5 +43,5 @@ def meteor_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
 
 def meteor_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:
     """Unweighted mean of sentence scores."""
-    check_parallel(hyps, refs)
+    check_parallel(hyps, refs, TokenizedSentence)
     return total(map(meteor_sentence, hyps, refs)) / len(hyps)

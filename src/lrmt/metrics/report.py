@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from ..corpus import check_number, check_score
+from ..corpus import check_items, check_number, check_score
 from ..errors import ValidationError
 from .bleu import SIGNATURE, BleuStats, bleu_from_stats, sentence_stats
 from .chrf import chrf
@@ -47,12 +47,11 @@ def evaluate_corpus(
     """Every metric over one corpus. A score column is a list or tuple with
     one score per segment. Embedding scores follow `check_score`, COMET
     scores `check_number` with no range limit."""
-    check_parallel(hyps, refs)
+    check_parallel(hyps, refs, str)
     for name, scores in (("embedding", embedding_scores), ("comet", comet_scores)):
         if scores is None:
             continue
-        if not isinstance(scores, (list, tuple)):
-            raise ValidationError(f"{name} scores are a {type(scores).__name__}, not a list or tuple")
+        check_items(scores, f"{name} scores", object)
         if len(scores) != len(hyps):
             raise ValidationError(f"{name} scores length {len(scores)} != corpus size {len(hyps)}")
     if embedding_scores is not None:

@@ -12,5 +12,5 @@ def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
 
 def rouge_l_corpus(hyps: list[TokenizedSentence], refs: list[TokenizedSentence]) -> float:
     """Unweighted mean of sentence F1 scores."""
-    check_parallel(hyps, refs)
+    check_parallel(hyps, refs, TokenizedSentence)
     return total(map(rouge_l_sentence, hyps, refs)) / len(hyps)

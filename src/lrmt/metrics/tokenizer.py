@@ -15,8 +15,9 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Sized
+from typing import Iterable, Sequence
 
+from ..corpus import check_items
 from ..errors import ValidationError
 
 # ASCII punctuation except tokenize_13a's rule-2 exceptions, judged on the original text
@@ -28,16 +29,9 @@ class TokenizedSentence:
     tokens: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # tuple() of a string would split it into characters
-        if isinstance(self.tokens, str):
-            raise ValidationError(f"tokens {self.tokens!r} is a string, not a sequence of tokens")
-        # tuple() of a non-iterable and join of a non-str raise TypeError
-        try:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
-            joined = " ".join(self.tokens)
-        except TypeError:
-            raise ValidationError(f"tokens {self.tokens!r} is not a sequence of strings") from None
-        if joined.split() != list(self.tokens):  # split() splits on isspace()
+        check_items(self.tokens, "tokens", str)
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        if " ".join(self.tokens).split() != list(self.tokens):  # split() splits on isspace()
             tok = next(t for t in self.tokens if not t or any(map(str.isspace, t)))
             raise ValidationError(f"bad token {tok!r}: empty or contains whitespace")
 
@@ -45,12 +39,12 @@ class TokenizedSentence:
         return len(self.tokens)
 
 
-def check_parallel(hyps: Sized, refs: Sized) -> None:
-    """Raise ValidationError unless hyps and refs pair up one to one and are
-    not empty; every corpus metric starts here."""
-    # a str is Sized too, and would be scored character by character
-    if isinstance(hyps, str) or isinstance(refs, str):
-        raise ValidationError("hyps and refs must be sequences of segments, not a string")
+def check_parallel(hyps: Sequence, refs: Sequence, kind: type) -> None:
+    """Raise ValidationError unless hyps and refs are equally long, non-empty
+    lists or tuples of `kind` (:func:`~lrmt.corpus.check_items`); every
+    corpus metric starts here."""
+    check_items(hyps, "hyps", kind)
+    check_items(refs, "refs", kind)
     if len(hyps) != len(refs):
         raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:

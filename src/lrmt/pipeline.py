@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import ENG_LATN, Corpus, Origin, SentencePair, check_count
+from .corpus import ENG_LATN, Corpus, Origin, SentencePair, check_count, check_items
 from .errors import IngestError, ValidationError
 
 DEDUP_KEYS = ("source", "target", "both")
@@ -127,15 +127,13 @@ def detect_swapped_rows(corpus: Corpus) -> list[str]:
     return flagged
 
 
-def swap_rows(corpus: Corpus, ids: Iterable[str]) -> Corpus:
-    """Exchange source/target texts for the listed ids.
+def swap_rows(corpus: Corpus, ids: Sequence[str]) -> Corpus:
+    """Exchange source/target texts for the ids, a list or tuple of str.
 
     Language tags stay put: the columns held the right languages' slots but the
     wrong texts. Applying the same id list twice is the identity.
     """
-    # a str is iterable too, and would name its characters as ids
-    if isinstance(ids, str):
-        raise ValidationError("swap ids must be a collection of ids, not a string")
+    check_items(ids, "swap ids", str)
     wanted = set(ids)
     unknown = wanted - corpus.ids()
     if unknown:
@@ -178,13 +176,9 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, str):
             raise ValidationError(f"split seed {self.seed!r} is not a string")
-        if not isinstance(self.entries, (list, tuple)):
-            raise ValidationError(f"split entries are a {type(self.entries).__name__}, not a list or tuple")
+        check_items(self.entries, "split entries", SplitEntry)
         # a tuple, so the entries cannot change after these checks
         object.__setattr__(self, "entries", tuple(self.entries))
-        for e in self.entries:
-            if not isinstance(e, SplitEntry):
-                raise ValidationError(f"split entry {e!r} is not a SplitEntry")
         names = [e.name for e in self.entries]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate split names: {names}")
@@ -206,14 +200,13 @@ class SplitSpec:
         except (OSError, ValueError) as exc:
             raise IngestError(f"{path}: cannot read split spec: {exc}") from exc
         splits = obj.get("splits") if isinstance(obj, dict) else None
-        if not isinstance(splits, list) or not all(isinstance(e, dict) for e in splits):
-            raise ValidationError(f"{path}: expected an object whose 'splits' is a list of objects")
         try:
+            check_items(splits, "the spec object's 'splits'", dict)
             entries = []
             for e in splits:
                 origin = None if e.get("origin") is None else Origin(e["origin"])
                 entries.append(SplitEntry(e.get("name"), e.get("size"), origin))
-            return cls(seed=obj.get("seed"), entries=tuple(entries))
+            return cls(seed=obj.get("seed"), entries=entries)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
 
@@ -272,16 +265,6 @@ class OverlapReport:
         )
 
 
-def _check_corpora(corpora: object, what: str) -> None:
-    """Raise ValidationError unless `corpora` is a list or tuple of Corpus; a
-    lone Corpus is iterable too, and would be read pair by pair."""
-    if not isinstance(corpora, (list, tuple)):
-        raise ValidationError(f"{what} are a {type(corpora).__name__}, not a list or tuple of Corpus")
-    for c in corpora:
-        if not isinstance(c, Corpus):
-            raise ValidationError(f"{what} hold a {type(c).__name__}, not a Corpus")
-
-
 def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:
     """Report every train/eval pair sharing identical source text.
 
@@ -289,7 +272,7 @@ def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:
     """
     if not isinstance(train, Corpus):
         raise ValidationError(f"train is a {type(train).__name__}, not a Corpus")
-    _check_corpora(eval_sets, "eval sets")
+    check_items(eval_sets, "eval sets", Corpus)
     train_by_text: dict[str, list[str]] = {}
     for p in train:
         train_by_text.setdefault(p.source_text, []).append(p.id)
@@ -333,7 +316,7 @@ def flip_concat(corpus: Corpus) -> Corpus:
 
 def concat(corpora: Sequence[Corpus], name: str = "concat") -> Corpus:
     """Concatenate corpora in order. Pair ids must stay globally unique."""
-    _check_corpora(corpora, "corpora to concatenate")
+    check_items(corpora, "corpora to concatenate", Corpus)
     pairs: list[SentencePair] = []
     for c in corpora:
         pairs.extend(c.pairs)

@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .corpus import Corpus, SentencePair, check_count, check_number, check_score
+from .corpus import Corpus, SentencePair, check_count, check_items, check_number, check_score
 from .errors import ProviderError, ValidationError
-from .metrics.tokenizer import check_text
 from .pipeline import hash_sorted
 
 MAX_EMBED_BATCH = 512  # server-side request cap
@@ -90,10 +89,10 @@ def stratified_sample(
     check_count(per_band, "per_band", 1)
     if not isinstance(seed, str):
         raise ValidationError(f"sample seed {seed!r} is not a string")
-    if not isinstance(bands, (list, tuple)):
-        raise ValidationError(f"bands {bands!r} is not a list or tuple of (low, high) bands")
+    check_items(bands, "bands", object)
     for band in bands:
-        if not (isinstance(band, (list, tuple)) and len(band) == 2):
+        check_items(band, "band", object)
+        if len(band) != 2:
             raise ValidationError(f"band {band!r} is not a (low, high) pair")
         low, high = band
         check_number(low, "band low", -math.inf, math.inf)
@@ -119,7 +118,8 @@ def stratified_sample(
 
 
 def _check_scores(scores: Sequence[float]) -> None:
-    """The analysis needs at least one score, each under `check_score`."""
+    """The analysis needs a list or tuple of at least one `check_score` score."""
+    check_items(scores, "scores", object)
     if not scores:
         raise ValidationError("the analysis needs at least one score")
     for s in scores:
@@ -128,8 +128,8 @@ def _check_scores(scores: Sequence[float]) -> None:
 
 def histogram_csv(scores: Sequence[float]) -> str:
     """CSV of (bin_low, bin_high, count) over 50 equal-width bins on the score
-    range [-1, 1]; the last bin is closed. Raises ValidationError on no
-    scores or a score `check_score` rejects, as `analysis_report` does."""
+    range [-1, 1]; the last bin is closed. Raises ValidationError on the
+    scores `analysis_report` rejects."""
     _check_scores(scores)
     bins, low, high = 50, -1.0, 1.0
     step = (high - low) / bins
@@ -151,7 +151,8 @@ def analysis_report(
     """JSON-ready summary of the scores, with the conventions it uses: `n`,
     `mean`, the population `std` (N denominator, not N-1; both by two-pass
     compensated sums) and a curve of the fraction of scores >= each threshold
-    (an inclusive bound). Thresholds must ascend, each under the number rule
+    (an inclusive bound). Scores and thresholds are lists or tuples.
+    Thresholds must ascend, each under the number rule
     (:func:`~lrmt.corpus.check_number`) with no range limit, so the fractions
     lie in [0, 1] and never increase along the curve. No scores, or a score
     `check_score` rejects (a bool, NaN included), raises ValidationError.
@@ -161,6 +162,7 @@ def analysis_report(
     for instance the text of `histogram_csv(scores)`.
     """
     _check_scores(scores)
+    check_items(thresholds, "thresholds", object)
     for t in thresholds:
         check_number(t, "threshold", -math.inf, math.inf)
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
@@ -237,14 +239,9 @@ class EmbeddingClient:
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         # a str would be sent as one text per character
-        if isinstance(texts, str):
-            raise ValidationError(f"embed texts {texts!r} is a string, not a sequence of strings")
+        check_items(texts, "embed texts", str)
         if not 1 <= len(texts) <= MAX_EMBED_BATCH:
-            raise ValidationError(
-                f"embed batch size {len(texts)} outside 1..{MAX_EMBED_BATCH}"
-            )
-        for text in texts:
-            check_text(text)
+            raise ValidationError(f"embed batch size {len(texts)} outside 1..{MAX_EMBED_BATCH}")
         # imported here, not at module level: they pull in email and ssl,
         # which nothing but this request needs
         import http.client

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import random
 from pathlib import Path
 
@@ -78,6 +79,32 @@ class TestSentenceStats:
     def test_invariant_enforced(self):
         with pytest.raises(ValidationError):
             BleuStats(clipped=(2, 0, 0, 0), totals=(1, 0, 0, 0), hyp_len=1, ref_len=1)
+
+    @pytest.mark.parametrize(
+        "fields, what",
+        [
+            # one precision used to score 100.0
+            (((1,), (1,), 1, 1), "BLEU clipped (1,) and totals (1,) are not 4 counts each"),
+            (((0,) * 4, (0,) * 5, 1, 1), "are not 4 counts each"),
+            (((True, 0, 0, 0), (1,) * 4, 1, 1), "are not 4 counts each"),
+            (((1.5, 1, 1, 1), (2,) * 4, 1, 1), "clipped item 0 must be int, not float: 1.5"),
+            (((0,) * 4, "1234", 1, 1), "totals must be a list or tuple, not str"),
+            (((-1, 0, 0, 0), (0,) * 4, 1, 1), "exceed totals"),
+            # a negative hypothesis length used to report a brevity penalty of 148.41
+            (((0,) * 4, (0,) * 4, -1, 1), "hyp_len -1 is not an integer >= 0"),
+            (((0,) * 4, (0,) * 4, 1, 2.0), "ref_len 2.0 is not an integer >= 0"),
+        ],
+    )
+    def test_fields_checked(self, fields, what):
+        with pytest.raises(ValidationError, match=re.escape(what)):
+            BleuStats(*fields)
+
+    def test_list_fields_kept_as_tuples(self):
+        clipped, totals = [1, 0, 0, 0], [2, 1, 0, 0]
+        stats = BleuStats(clipped, totals, 2, 2)
+        clipped[0] = 5
+        assert stats.clipped == (1, 0, 0, 0) and stats.totals == (2, 1, 0, 0)
+        assert stats == BleuStats((1, 0, 0, 0), (2, 1, 0, 0), 2, 2)
 
 
 class TestAdditivity:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -176,19 +177,26 @@ class TestChrf:
         with pytest.raises(ValidationError):
             chrf(["a"], ["a", "b"])
         # a str of three characters is not three segments
-        with pytest.raises(ValidationError, match="not a string"):
+        with pytest.raises(ValidationError, match="hyps must be a list or tuple, not str"):
             chrf("abc", "abd")
-        with pytest.raises(ValidationError, match="not a string"):
+        with pytest.raises(ValidationError, match="hyps must be a list or tuple, not str"):
             chrf("abc", ["a", "b", "c"])
+        with pytest.raises(ValidationError, match="refs must be a list or tuple, not str"):
+            chrf(["a", "b", "c"], "abc")
         # a segment is a str, on either side
-        for hyps, refs in ((["a", None], ["a", "b"]), (["a", "b"], ["a", 5]), ([b"a"], ["a"]), (["a"], [b"a"])):
-            with pytest.raises(ValidationError, match="not a string"):
+        for hyps, refs, what in (
+            (["a", None], ["a", "b"], "hyps item 1 must be str, not NoneType: None"),
+            (["a", "b"], ["a", 5], "refs item 1 must be str, not int: 5"),
+            ([b"a"], ["a"], "hyps item 0 must be str, not bytes: b'a'"),
+            (["a"], [b"a"], "refs item 0 must be str, not bytes: b'a'"),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(what)):
                 chrf(hyps, refs)
 
     def test_empty_corpus(self):
         with pytest.raises(ValidationError):
             chrf([], [])
-        with pytest.raises(ValidationError, match="not a string"):
+        with pytest.raises(ValidationError, match="hyps must be a list or tuple, not str"):
             chrf("", "")
 
     def test_equals_hand_written_f_exactly(self):

@@ -157,12 +157,12 @@ class TestCorpus:
 
     @pytest.mark.parametrize("bad", ["a", None, ("p0", "a", "b")])
     def test_non_pair_rejected(self, bad):
-        with pytest.raises(ValidationError, match=re.escape(f"{bad!r} is not a SentencePair")):
+        with pytest.raises(ValidationError, match=re.escape(f"pairs item 1 must be SentencePair, not {type(bad).__name__}: {bad!r}")):
             Corpus([make_pair(0), bad])
 
     @pytest.mark.parametrize("bad", [None, "ab", iter([])])
     def test_pairs_that_are_not_a_list_or_tuple_rejected(self, bad):
-        with pytest.raises(ValidationError, match=f"pairs are a {type(bad).__name__}, not a list or tuple"):
+        with pytest.raises(ValidationError, match=f"pairs must be a list or tuple, not {type(bad).__name__}"):
             Corpus(bad)
 
     @pytest.mark.parametrize("bad", [5, None, b"corpus"])

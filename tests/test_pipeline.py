@@ -256,7 +256,7 @@ class TestSwapRows:
         # and one real id would read as unknown ids ':', '0', 'd', ...
         c = Corpus([pair(0), replace(pair(1), id="a"), replace(pair(2), id="b")])
         for ids in ("ab", "smoldoc:0"):
-            with pytest.raises(ValidationError, match="not a string"):
+            with pytest.raises(ValidationError, match="swap ids must be a list or tuple, not str"):
                 swap_rows(c, ids)
         assert swap_rows(c, ("a", "b")).pairs[1].source_text == c.pairs[1].target_text
 
@@ -390,12 +390,12 @@ class TestSplit:
 
     @pytest.mark.parametrize("bad", ["x", ("dev", 1), None])
     def test_spec_rejects_entry_that_is_not_a_split_entry(self, bad):
-        with pytest.raises(ValidationError, match=re.escape(f"split entry {bad!r} is not a SplitEntry")):
+        with pytest.raises(ValidationError, match=re.escape(f"split entries item 1 must be SplitEntry, not {type(bad).__name__}: {bad!r}")):
             SplitSpec("s", [SplitEntry("dev", 1), bad])
 
     @pytest.mark.parametrize("bad", [None, "dev", SplitEntry("dev", 1)])
     def test_spec_rejects_entries_that_are_not_a_list_or_tuple(self, bad):
-        with pytest.raises(ValidationError, match=f"split entries are a {type(bad).__name__}, not a list or tuple"):
+        with pytest.raises(ValidationError, match=f"split entries must be a list or tuple, not {type(bad).__name__}"):
             SplitSpec("s", bad)
 
     def test_spec_cannot_be_mutated(self):
@@ -508,9 +508,9 @@ class TestVerifyOverlap:
         # a lone Corpus iterates its pairs, which iterate no further
         train, ev = corpus_of(3), corpus_of(2, GATITOS, start=100)
         for eval_sets, match in (
-            (ev, "eval sets are a Corpus, not a list or tuple"),
-            (iter([ev]), "eval sets are a list_iterator"),
-            ([ev, ev.pairs], "eval sets hold a tuple, not a Corpus"),
+            (ev, "eval sets must be a list or tuple, not Corpus"),
+            (iter([ev]), "eval sets must be a list or tuple, not list_iterator"),
+            ([ev, ev.pairs], "eval sets item 1 must be Corpus, not tuple"),
         ):
             with pytest.raises(ValidationError, match=match):
                 verify_overlap(train, eval_sets)
@@ -573,9 +573,9 @@ class TestConcat:
     def test_rejects_what_is_not_a_list_of_corpora(self):
         a = corpus_of(3)
         for corpora, match in (
-            (a, "are a Corpus, not a list or tuple"),
-            ({a}, "are a set, not a list or tuple"),
-            ([a, a.pairs[0]], "hold a SentencePair, not a Corpus"),
+            (a, "corpora to concatenate must be a list or tuple, not Corpus"),
+            ({a}, "corpora to concatenate must be a list or tuple, not set"),
+            ([a, a.pairs[0]], "corpora to concatenate item 1 must be Corpus, not SentencePair"),
         ):
             with pytest.raises(ValidationError, match=match):
                 concat(corpora)

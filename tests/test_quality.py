@@ -17,7 +17,21 @@ import lrmt
 from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
 from lrmt.errors import ProviderError, ValidationError
 from lrmt.metrics import evaluate_corpus
-from lrmt.pipeline import SplitEntry, SplitSpec, filter_length, sample_key, split
+from lrmt.metrics.bleu import BleuStats
+from lrmt.metrics.chrf import chrf
+from lrmt.metrics.meteor import meteor_corpus
+from lrmt.metrics.rouge import rouge_l_corpus
+from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
+from lrmt.pipeline import (
+    SplitEntry,
+    SplitSpec,
+    concat,
+    filter_length,
+    sample_key,
+    split,
+    swap_rows,
+    verify_overlap,
+)
 from lrmt.quality import (
     EMBED_BATCH,
     EmbeddingClient,
@@ -395,7 +409,12 @@ class TestStratifiedSample:
 
     @pytest.mark.parametrize(
         "bands, named",
-        [([0.5], "band 0.5 "), ([(0.1,)], "band (0.1,) "), (None, "bands None "), ((0.0, 0.5), "band 0.0 ")],
+        [
+            ([0.5], "band must be a list or tuple, not float"),
+            ([(0.1,)], "band (0.1,) is not a (low, high) pair"),
+            (None, "bands must be a list or tuple, not NoneType"),
+            ((0.0, 0.5), "band must be a list or tuple, not float"),
+        ],
         ids=["float", "one-bound", "none", "flat-pair"],
     )
     def test_band_shape_names_the_band(self, bands, named):
@@ -516,7 +535,12 @@ class TestEmbeddingClient:
 
     @pytest.mark.parametrize(
         "texts, what",
-        [("smol:3", "is a string"), (["ab", None], "None"), ([1, "ab"], "1"), ([b"ab"], "b'ab'")],
+        [
+            ("smol:3", "embed texts must be a list or tuple, not str"),
+            (["ab", None], "embed texts item 1 must be str, not NoneType: None"),
+            ([1, "ab"], "embed texts item 0 must be str, not int: 1"),
+            ([b"ab"], "embed texts item 0 must be str, not bytes: b'ab'"),
+        ],
         ids=["str", "none", "int", "bytes"],
     )
     def test_non_text_rejected_before_any_request(self, serve, texts, what):
@@ -648,3 +672,93 @@ def test_numeric_argument_rejects(argument, bad):
 def test_numeric_argument_boundary_passes(argument):
     call, *_, boundary = NUMERIC_ARGUMENTS[argument]
     call(boundary)
+
+
+# --- the container rule, across every container argument ---
+
+
+def _embed(texts):
+    """embed(texts) against a fresh scripted server on 127.0.0.1."""
+    server = HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.requests, server.content_types = ((200, None),), 0, []
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+    try:
+        return EmbeddingClient(f"http://127.0.0.1:{server.server_port}", timeout=5.0).embed(texts)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+_TOK = tokenize_13a("a b")
+
+# argument -> (call with the container, the name its error gives, items that
+# pass). Every container argument is a list or tuple, under check_items.
+CONTAINER_ARGUMENTS = {
+    "corpus-pairs": (lambda x: Corpus(x, "c"), "corpus 'c': pairs", _POOL.pairs[:2]),
+    "split-entries": (lambda x: SplitSpec("s", x), "split entries", [SplitEntry("dev", 1)]),
+    "concat": (concat, "corpora to concatenate", [_POOL]),
+    "eval-sets": (lambda x: verify_overlap(_POOL, x), "eval sets", [_POOL]),
+    "swap-ids": (lambda x: swap_rows(_POOL, x), "swap ids", [_POOL.pairs[0].id]),
+    "bands": (lambda x: stratified_sample(_POOL, x, 1, "s"), "bands", [(-1.0, 2.0)]),
+    "band": (lambda x: stratified_sample(_POOL, [x], 1, "s"), "band", (-1.0, 2.0)),
+    "evaluate-hyps": (lambda x: evaluate_corpus(x, ["a b"]), "hyps", ["a b"]),
+    "evaluate-refs": (lambda x: evaluate_corpus(["a b"], x), "refs", ["a b"]),
+    "embedding-scores": (lambda x: evaluate_corpus(["a"], ["a"], embedding_scores=x), "embedding scores", [1.0]),
+    "comet-scores": (lambda x: evaluate_corpus(["a"], ["a"], comet_scores=x), "comet scores", [-3.0]),
+    "chrf-hyps": (lambda x: chrf(x, ["a b"]), "hyps", ["a b"]),
+    "chrf-refs": (lambda x: chrf(["a b"], x), "refs", ["a b"]),
+    "rouge-hyps": (lambda x: rouge_l_corpus(x, [_TOK]), "hyps", [_TOK]),
+    "rouge-refs": (lambda x: rouge_l_corpus([_TOK], x), "refs", [_TOK]),
+    "meteor-hyps": (lambda x: meteor_corpus(x, [_TOK]), "hyps", [_TOK]),
+    "meteor-refs": (lambda x: meteor_corpus([_TOK], x), "refs", [_TOK]),
+    "tokens": (TokenizedSentence, "tokens", ["a", "b"]),
+    "embed-texts": (_embed, "embed texts", ["ab"]),
+    "analysis-scores": (lambda x: analysis_report(x, [0.0]), "scores", [0.5]),
+    "thresholds": (lambda x: analysis_report([0.5], x), "thresholds", [0.0]),
+    "histogram-scores": (histogram_csv, "scores", [0.5]),
+    "bleu-clipped": (lambda x: BleuStats(x, (1,) * 4, 1, 1), "clipped", [1] * 4),
+    "bleu-totals": (lambda x: BleuStats((0,) * 4, x, 1, 1), "totals", [1] * 4),
+}
+# what each refused container is built from the items that pass
+NOT_CONTAINERS = {
+    "str": lambda items: "ab",
+    "set": set,
+    "dict": dict.fromkeys,
+    "generator": lambda items: (item for item in items),
+    "int": lambda items: 5,
+    "None": lambda items: None,
+}
+
+
+@pytest.mark.parametrize(
+    "argument, shape",
+    [
+        (arg, shape)
+        for arg in CONTAINER_ARGUMENTS
+        for shape in NOT_CONTAINERS
+        # None leaves a score column out
+        if not (arg in ("embedding-scores", "comet-scores") and shape == "None")
+    ],
+)
+def test_container_argument_rejects(argument, shape):
+    call, what, items = CONTAINER_ARGUMENTS[argument]
+    bad = NOT_CONTAINERS[shape](items)
+    # ValidationError naming the argument, never TypeError, AttributeError or
+    # a result read in hash, key or character order
+    with pytest.raises(ValidationError, match=f"^{re.escape(what)} must be a list or tuple, not {type(bad).__name__}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("argument", CONTAINER_ARGUMENTS)
+def test_container_argument_passes(argument, container):
+    call, _, items = CONTAINER_ARGUMENTS[argument]
+    call(container(items))
+
+
+def test_histogram_of_an_iterator_refused():
+    # the score check used to consume the iterator, and the counts read all zero
+    with pytest.raises(ValidationError, match="scores must be a list or tuple, not list_iterator"):
+        histogram_csv(iter([0.5, 0.5]))
+    counts = [int(line.rsplit(",", 1)[1]) for line in histogram_csv([0.5, 0.5]).splitlines()[1:]]
+    assert sum(counts) == 2

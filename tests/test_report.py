@@ -25,6 +25,17 @@ REFS = ["the cat sat on the mat .", "late he walks home", "large dogs bark !"]
 
 
 class TestEvaluateCorpus:
+    def test_set_or_dict_corpus_refused(self):
+        # a set or dict used to pair segments in hash or key order: BLEU read
+        # 0.0 where the lists give 100.0
+        hyps = ["the cat sat on the mat", "a dog ran in the park", "birds sing at dawn"]
+        assert evaluate_corpus(hyps, hyps).bleu == 100.0
+        for side in (set(hyps), dict.fromkeys(hyps)):
+            with pytest.raises(ValidationError, match=f"hyps must be a list or tuple, not {type(side).__name__}"):
+                evaluate_corpus(side, side)
+            with pytest.raises(ValidationError, match=f"refs must be a list or tuple, not {type(side).__name__}"):
+                evaluate_corpus(hyps, side)
+
     def test_equals_metrics_composed_by_hand(self):
         report = evaluate_corpus(
             HYPS,
@@ -136,10 +147,16 @@ class TestEvaluateCorpus:
         with pytest.raises(ValidationError):
             evaluate_corpus([], [])
         # a str is a sequence of characters, not of segments; a segment is a str
-        bad = [("ab", "ab"), ("the cat", "the dog"), ("ab", ["a", "b"]), (["a", "b"], "ab")]
-        bad += [(["a b", None], ["a b", "c"]), (["a b", "c"], ["a b", 3])]
-        for hyps, refs in bad:
-            with pytest.raises(ValidationError, match="not a string"):
+        bad = [
+            ("ab", "ab", "hyps must be a list or tuple, not str"),
+            ("the cat", "the dog", "hyps must be a list or tuple, not str"),
+            ("ab", ["a", "b"], "hyps must be a list or tuple, not str"),
+            (["a", "b"], "ab", "refs must be a list or tuple, not str"),
+            (["a b", None], ["a b", "c"], "hyps item 1 must be str, not NoneType: None"),
+            (["a b", "c"], ["a b", 3], "refs item 1 must be str, not int: 3"),
+        ]
+        for hyps, refs, what in bad:
+            with pytest.raises(ValidationError, match=re.escape(what)):
                 evaluate_corpus(hyps, refs)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import string
 import sys
 import unicodedata
@@ -62,11 +63,21 @@ class TestTokenizedSentence:
         with pytest.raises(ValidationError, match="bad token"):
             TokenizedSentence(tokens=("has space",))
         # tuple("abc") would store one token per character
-        with pytest.raises(ValidationError, match="string"):
+        with pytest.raises(ValidationError, match="tokens must be a list or tuple, not str"):
             TokenizedSentence(tokens="abc")
-        for tokens in ((1, 2), None, (b"a",)):
-            with pytest.raises(ValidationError, match="not a sequence of strings"):
+        for tokens, what in (
+            ((1, 2), "tokens item 0 must be str, not int: 1"),
+            (None, "tokens must be a list or tuple, not NoneType"),
+            ((b"a",), "tokens item 0 must be str, not bytes: b'a'"),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(what)):
                 TokenizedSentence(tokens=tokens)
+
+    def test_set_of_tokens_refused(self):
+        # a set used to be stored in hash order
+        with pytest.raises(ValidationError, match="tokens must be a list or tuple, not set"):
+            TokenizedSentence(tokens={"a", "b"})
+        assert TokenizedSentence(tokens=["b", "a"]).tokens == ("b", "a")
 
     def test_whitespace_is_what_isspace_accepts(self):
         # the one-pass check relies on str.split() splitting on exactly the
