@@ -24,6 +24,25 @@ logger = logging.getLogger(__name__)
 
 _LANG_TAG_RE = re.compile(r"[a-z]{3}_[A-Z][a-z]{3}")
 _WS_RE = re.compile(r"\s+")
+_FORMATS = ("tsv", "jsonl")
+
+
+def _shown(x: object) -> str:
+    """repr(x), but an int beyond float range by its size: repr raises
+    ValueError on an int of over sys.get_int_max_str_digits() digits, or on x holding one."""
+    if isinstance(x, int) and x.bit_length() > sys.float_info.max_exp:
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} holding an int of too many digits>"
+
+
+def check_type(x: object, what: str, kind: type) -> None:
+    """The type rule: `x` is a `kind`, or ValidationError naming `what`, the
+    type `x` is and `x` itself, shown by :func:`_shown`."""
+    if not isinstance(x, kind):
+        raise ValidationError(f"{what} must be {kind.__name__}, not {type(x).__name__}: {_shown(x)}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +52,8 @@ class LanguageTag:
     code: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.code, str) or not _LANG_TAG_RE.fullmatch(self.code):
+        check_type(self.code, "language tag", str)
+        if not _LANG_TAG_RE.fullmatch(self.code):
             raise ValidationError(
                 f"bad language tag {self.code!r}: expected 3 lowercase letters, "
                 "underscore, title-case 4-letter script (e.g. 'eng_Latn')"
@@ -55,7 +75,8 @@ class Origin:
     label: str
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.label, str) and self.label) or _WS_RE.search(self.label):
+        check_type(self.label, "origin label", str)
+        if not self.label or _WS_RE.search(self.label):
             raise ValidationError(f"bad origin label {self.label!r}: must be non-empty, no whitespace")
         object.__setattr__(self, "label", self.label.lower())
 
@@ -71,17 +92,6 @@ def normalize_text(raw: str) -> str:
     return _WS_RE.sub(" ", unicodedata.normalize("NFC", raw)).strip()
 
 
-def _shown(x: object) -> str:
-    """repr(x), but an int beyond float range by its size: repr raises
-    ValueError on an int of over sys.get_int_max_str_digits() digits, or on x holding one."""
-    if isinstance(x, int) and x.bit_length() > sys.float_info.max_exp:
-        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
-    try:
-        return repr(x)
-    except ValueError:
-        return f"<{type(x).__name__} holding an int of too many digits>"
-
-
 def check_number(x: object, what: str, low: float, high: float) -> None:
     """The number rule: an int or float, not a bool, within float range (so
     not NaN or inf), in [low, high]. A bound may be infinite, so (-inf, inf)
@@ -89,7 +99,7 @@ def check_number(x: object, what: str, low: float, high: float) -> None:
     `what`."""
     # bool is an int subclass, and a numeric string is not a number
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError(f"{what} {x!r} is not a number")
+        raise ValidationError(f"{what} {_shown(x)} is not a number")
     # comparisons, unlike math.isfinite, take an int of any size; NaN fails
     # them, and an int beyond float range would overflow the arithmetic after
     if not -sys.float_info.max <= x <= sys.float_info.max:
@@ -102,7 +112,7 @@ def check_count(x: object, what: str, low: int) -> None:
     """The count rule: an exact int, so not a bool or a float, at least `low`.
     Raises ValidationError naming `what`."""
     if type(x) is not int or x < low:
-        raise ValidationError(f"{what} {_shown(x)} is not an integer >= {low}")
+        raise ValidationError(f"{what} {_shown(x)} is not an integer >= {_shown(low)}")
 
 
 def check_items(x: object, what: str, kind: type) -> None:
@@ -113,8 +123,8 @@ def check_items(x: object, what: str, kind: type) -> None:
         raise ValidationError(f"{what} must be a list or tuple, not {type(x).__name__}")
     # one pass at C speed; the offending item is looked for only on failure
     if not all(map(isinstance, x, repeat(kind))):
-        i, item = next((i, item) for i, item in enumerate(x) if not isinstance(item, kind))
-        raise ValidationError(f"{what} item {i} must be {kind.__name__}, not {type(item).__name__}: {_shown(item)}")
+        for i, item in enumerate(x):
+            check_type(item, f"{what} item {i}", kind)
 
 
 def check_score(score: object, what: str) -> None:
@@ -138,17 +148,19 @@ class SentencePair:
     score: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"sentence pair id {self.id!r} is not a non-empty string")
-        for side, text in (("source", self.source_text), ("target", self.target_text)):
-            if not isinstance(text, str) or not text.strip():
-                raise ValidationError(f"pair {self.id}: {side} text {text!r} is not a non-blank string")
+        # constant names: an f-string would be built on every construction
+        check_type(self.id, "sentence pair id", str)
+        if not self.id:
+            raise ValidationError("sentence pair id '' is not a non-empty string")
+        for what, text in (("source text", self.source_text), ("target text", self.target_text)):
+            check_type(text, what, str)
+            if not text.strip():
+                raise ValidationError(f"pair {self.id}: {what} {text!r} is not a non-blank string")
             if "\t" in text or "\n" in text or "\r" in text:
-                raise ValidationError(f"pair {self.id}: {side} text contains raw tab/newline")
-        if not (isinstance(self.source_lang, LanguageTag) and isinstance(self.target_lang, LanguageTag)):
-            raise ValidationError(f"pair {self.id}: language tags must be LanguageTags")
-        if not isinstance(self.origin, Origin):
-            raise ValidationError(f"pair {self.id}: origin {self.origin!r} is not an Origin")
+                raise ValidationError(f"pair {self.id}: {what} contains raw tab/newline")
+        check_type(self.source_lang, "source language tag", LanguageTag)
+        check_type(self.target_lang, "target language tag", LanguageTag)
+        check_type(self.origin, "pair origin", Origin)
         if self.source_lang == self.target_lang:
             raise ValidationError(f"pair {self.id}: source and target language tags are equal")
         if self.score is not None:
@@ -163,8 +175,7 @@ class Corpus:
     name: str = "corpus"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ValidationError(f"corpus name {self.name!r} is not a string")
+        check_type(self.name, "corpus name", str)
         check_items(self.pairs, f"corpus {self.name!r}: pairs", SentencePair)
         object.__setattr__(self, "pairs", tuple(self.pairs))
         seen: set[str] = set()
@@ -181,6 +192,11 @@ class Corpus:
 
     def ids(self) -> set[str]:
         return {p.id for p in self.pairs}
+
+
+def _check_format(format: object) -> None:
+    if format not in _FORMATS:
+        raise IngestError(f"unknown format {_shown(format)}: expected 'tsv' or 'jsonl'")
 
 
 def ingest(
@@ -207,11 +223,10 @@ def ingest(
     """
     path = Path(path)
     if format is None:
-        format = {".tsv": "tsv", ".jsonl": "jsonl"}.get(path.suffix.lower())
-        if format is None:
+        format = path.suffix.lower()[1:]
+        if format not in _FORMATS:
             raise IngestError(f"cannot infer format from {str(path)!r}; pass the format argument")
-    elif format not in ("tsv", "jsonl"):
-        raise IngestError(f"unknown format {format!r}: expected 'tsv' or 'jsonl'")
+    _check_format(format)
     try:
         text = path.read_bytes().decode("utf-8")
     except FileNotFoundError as exc:
@@ -274,10 +289,9 @@ def _parse_row(
             obj = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise ValidationError(f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValidationError("row is not a JSON object")
-        if not isinstance(obj.get("source"), str) or not isinstance(obj.get("target"), str):
-            raise ValidationError("missing 'source'/'target' string fields")
+        check_type(obj, "JSON row", dict)
+        check_type(obj.get("source"), "JSON row's 'source'", str)
+        check_type(obj.get("target"), "JSON row's 'target'", str)
         src = normalize_text(obj["source"])
         tgt = normalize_text(obj["target"])
         if obj.get("origin") is not None:
@@ -307,8 +321,7 @@ def write(corpus: Corpus, path: str | Path, format: str) -> None:
     directory, a directory) raises ``IngestError``.
     """
     path = Path(path)
-    if format not in ("tsv", "jsonl"):
-        raise IngestError(f"unknown format {format!r}: expected 'tsv' or 'jsonl'")
+    _check_format(format)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             for pair in corpus.pairs:

@@ -7,7 +7,7 @@ import operator
 from dataclasses import dataclass
 
 from .. import __version__
-from ..corpus import check_count, check_items
+from ..corpus import _shown, check_count, check_items
 from ..errors import ValidationError
 from .tokenizer import TokenizedSentence, ngram_stats, total
 
@@ -41,9 +41,9 @@ class BleuStats:
         object.__setattr__(self, "totals", t)
         # C-level tests, as every segment builds one; a bool is an int too
         if len(c) != MAX_ORDER or len(t) != MAX_ORDER or bool in map(type, c + t):
-            raise ValidationError(f"BLEU clipped {c} and totals {t} are not {MAX_ORDER} counts each")
+            raise ValidationError(f"BLEU clipped {_shown(c)} and totals {_shown(t)} are not {MAX_ORDER} counts each")
         if min(c) < 0 or not all(map(operator.le, c, t)):
-            raise ValidationError(f"clipped matches {c} exceed totals {t}")
+            raise ValidationError(f"clipped matches {_shown(c)} exceed totals {_shown(t)}")
 
     def __add__(self, other: "BleuStats") -> "BleuStats":
         return BleuStats(

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .tokenizer import check_parallel, check_text, f_measure, ngram_stats, total
+from ..corpus import check_type
+from .tokenizer import check_parallel, f_measure, ngram_stats, total
 
 # chrF2 as defined by Popović (2015): character n-grams of orders 1..6, recall
 # weighted twice as much as precision
@@ -13,9 +14,9 @@ BETA = 2.0
 def chrf_stats(hyp: str, ref: str) -> tuple[tuple[int, int, int], ...]:
     """Per-order (matched, hyp total, ref total) char n-gram counts of one
     segment, for orders 1..CHAR_ORDER, with whitespace removed first. Each
-    side follows :func:`~lrmt.metrics.tokenizer.check_text`."""
-    check_text(hyp)
-    check_text(ref)
+    side is a str (:func:`~lrmt.corpus.check_type`)."""
+    check_type(hyp, "hyp", str)
+    check_type(ref, "ref", str)
     return ngram_stats("".join(hyp.split()), "".join(ref.split()), CHAR_ORDER)
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..corpus import check_items
+from ..corpus import check_items, check_type
 from ..errors import ValidationError
 
 # ASCII punctuation except tokenize_13a's rule-2 exceptions, judged on the original text
@@ -49,13 +49,6 @@ def check_parallel(hyps: Sequence, refs: Sequence, kind: type) -> None:
         raise ValidationError(f"hyp/ref length mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
         raise ValidationError("empty corpus")
-
-
-def check_text(text: object) -> None:
-    """The segment rule: a text is a str, so bytes and None raise
-    ValidationError; every per-segment function that reads text starts here."""
-    if not isinstance(text, str):
-        raise ValidationError(f"text {text!r} is not a string")
 
 
 def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int, int, int], ...]:
@@ -129,7 +122,7 @@ def tokenize_13a(text: str) -> TokenizedSentence:
     Rule 2 is one regex pass; rule 1 depends on the character alone, so it
     runs second, and only on text that is not ASCII.
     """
-    check_text(text)
+    check_type(text, "text", str)
     padded = _PAD_ASCII.sub(r" \g<0> ", text)
     if not padded.isascii():
         pad = [f" {c} " if c > "\x7f" and unicodedata.category(c)[0] == "P" else c for c in padded]

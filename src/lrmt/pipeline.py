@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import ENG_LATN, Corpus, Origin, SentencePair, check_count, check_items
+from .corpus import ENG_LATN, Corpus, Origin, SentencePair, _shown, check_count, check_items, check_type
 from .errors import IngestError, ValidationError
 
 DEDUP_KEYS = ("source", "target", "both")
@@ -48,7 +48,7 @@ def dedup(corpus: Corpus, key: str = "both") -> tuple[Corpus, int]:
     the number of pairs removed.
     """
     if key not in DEDUP_KEYS:
-        raise ValidationError(f"dedup key must be one of {DEDUP_KEYS}, got {key!r}")
+        raise ValidationError(f"dedup key must be one of {DEDUP_KEYS}, got {_shown(key)}")
     seen: set = set()
     kept: list[SentencePair] = []
     for pair in corpus:
@@ -153,11 +153,12 @@ class SplitEntry:
     origin: Optional[Origin] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValidationError(f"split name {self.name!r} is not a non-empty string")
+        check_type(self.name, "split name", str)
+        if not self.name:
+            raise ValidationError("split name '' is not a non-empty string")
         check_count(self.size, f"split {self.name!r}: size", 0)
-        if self.origin is not None and not isinstance(self.origin, Origin):
-            raise ValidationError(f"split {self.name!r}: origin {self.origin!r} is not an Origin")
+        if self.origin is not None:
+            check_type(self.origin, f"split {self.name!r}: origin", Origin)
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,7 @@ class SplitSpec:
     entries: tuple[SplitEntry, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, str):
-            raise ValidationError(f"split seed {self.seed!r} is not a string")
+        check_type(self.seed, "split seed", str)
         check_items(self.entries, "split entries", SplitEntry)
         # a tuple, so the entries cannot change after these checks
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -270,8 +270,7 @@ def verify_overlap(train: Corpus, eval_sets: Sequence[Corpus]) -> OverlapReport:
 
     Only train-vs-eval is checked; eval-vs-eval sharing is out of scope.
     """
-    if not isinstance(train, Corpus):
-        raise ValidationError(f"train is a {type(train).__name__}, not a Corpus")
+    check_type(train, "train", Corpus)
     check_items(eval_sets, "eval sets", Corpus)
     train_by_text: dict[str, list[str]] = {}
     for p in train:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from .corpus import Corpus, SentencePair, check_count, check_items, check_number, check_score
+from .corpus import Corpus, SentencePair, _shown, check_count, check_items, check_number, check_score, check_type
 from .errors import ProviderError, ValidationError
 from .pipeline import hash_sorted
 
@@ -87,13 +87,12 @@ def stratified_sample(
     (:func:`~lrmt.corpus.check_count`), at least 1; the seed is a str.
     """
     check_count(per_band, "per_band", 1)
-    if not isinstance(seed, str):
-        raise ValidationError(f"sample seed {seed!r} is not a string")
+    check_type(seed, "sample seed", str)
     check_items(bands, "bands", object)
     for band in bands:
         check_items(band, "band", object)
         if len(band) != 2:
-            raise ValidationError(f"band {band!r} is not a (low, high) pair")
+            raise ValidationError(f"band {_shown(band)} is not a (low, high) pair")
         low, high = band
         check_number(low, "band low", -math.inf, math.inf)
         check_number(high, "band high", -math.inf, math.inf)
@@ -112,7 +111,7 @@ def stratified_sample(
         members = (p for p in corpus if low <= p.score < high or p.score == high == TOP_SCORE)
         band = BandSample(low=low, high=high, pairs=tuple(hash_sorted(members, seed)[:per_band]))
         if len(band.pairs) < per_band:
-            warnings.append(f"band {band.label} has {len(band.pairs)} of {per_band} requested pairs")
+            warnings.append(f"band {band.label} has {len(band.pairs)} of {_shown(per_band)} requested pairs")
         out.append(band)
     return StratifiedSample(bands=tuple(out), warnings=tuple(warnings))
 
@@ -227,7 +226,8 @@ class EmbeddingClient:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         # urllib would also open file:// and ftp:// URLs; the service speaks HTTP only
-        if not (isinstance(base_url, str) and base_url.startswith(("http://", "https://"))):
+        check_type(base_url, "embedding service URL", str)
+        if not base_url.startswith(("http://", "https://")):
             raise ValidationError(f"embedding service URL must be http(s), got {base_url!r}")
         # the socket rejects a negative, NaN or infinite timeout only on first use
         check_number(timeout, "embedding timeout", 0.0, math.inf)

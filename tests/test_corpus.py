@@ -167,7 +167,7 @@ class TestCorpus:
 
     @pytest.mark.parametrize("bad", [5, None, b"corpus"])
     def test_name_that_is_not_a_string_rejected(self, bad):
-        with pytest.raises(ValidationError, match=re.escape(f"corpus name {bad!r} is not a string")):
+        with pytest.raises(ValidationError, match=re.escape(f"corpus name must be str, not {type(bad).__name__}: {bad!r}")):
             Corpus([], name=bad)
 
     def test_iteration_preserves_order(self):

@@ -1,15 +1,21 @@
-"""The number rule and the container rule are each stated once, in ``corpus.py``.
+"""The number rule, the container rule and the type rule are each stated
+once, in ``corpus.py``.
 
 ``check_number`` and ``check_count`` decide what counts as a number and as a
 count; every numeric argument calls one of them. ``check_items`` decides what
 counts as a container of items (a list or tuple); every container argument
-calls it. A hand-written copy elsewhere drifts: before these rules existed,
-nine number checks disagreed about bools, NaN and infinities, and nine
-container checks about strings, sets and iterators. This reads ``src/lrmt``
-with ``ast`` and fails on the marks of such a copy outside ``corpus.py``: an
-``isinstance`` test against ``bool`` (alone or in a tuple), any use of
-``math.isnan``, and an ``isinstance`` test whose type tuple names both
-``list`` and ``tuple``.
+calls it. ``check_type`` decides whether a value is of one type; every typed
+argument calls it. A hand-written copy elsewhere drifts: before these rules
+existed, nine number checks disagreed about bools, NaN and infinities, nine
+container checks about strings, sets and iterators, and sixteen type checks
+used a dozen message shapes, most of which could not show an int of 5,000
+digits. This reads ``src/lrmt`` with ``ast`` and fails on the marks of such a
+copy outside ``corpus.py``: an ``isinstance`` test against ``bool`` (alone or
+in a tuple), any use of ``math.isnan``, and an ``isinstance`` test whose type
+tuple names both ``list`` and ``tuple``. It fails on the third rule's mark,
+an ``if`` whose test calls ``isinstance`` and whose body raises
+``ValidationError``, anywhere but inside ``corpus.py``'s ``check_*`` rules,
+so it also covers the domain types in ``corpus.py``.
 """
 
 import ast
@@ -31,16 +37,27 @@ def _isinstance_names(node: ast.AST) -> list[str]:
     return []
 
 
-def _copies(src: Path, is_copy) -> list[str]:
+def _whole_home(rel: str, tree: ast.Module) -> set[int]:
+    return set(map(id, ast.walk(tree))) if rel == RULE_HOME else set()
+
+
+def _home_rules(rel: str, tree: ast.Module) -> set[int]:
+    """The nodes of the rule home's ``check_*`` functions."""
+    if rel != RULE_HOME:
+        return set()
+    rules = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("check_")]
+    return {id(node) for f in rules for node in ast.walk(f)}
+
+
+def _copies(src: Path, is_copy, exempt=_whole_home) -> list[str]:
     """``file:line`` of each node under `src` that `is_copy` marks, outside
-    the rules' home."""
+    the nodes `exempt` returns for a file (by default all of the rules' home)."""
     found = []
     for path in sorted(src.rglob("*.py")):
-        if path.relative_to(src).as_posix() == RULE_HOME:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if is_copy(node):
-                found.append(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+        rel = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        skipped = exempt(rel, tree)
+        found.extend(f"{rel}:{node.lineno}" for node in ast.walk(tree) if id(node) not in skipped and is_copy(node))
     return found
 
 
@@ -55,6 +72,19 @@ def _container_check(node: ast.AST) -> bool:
     return {"list", "tuple"} <= set(_isinstance_names(node))
 
 
+def _raises_validation_error(node: ast.AST) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    return isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValidationError"
+
+
+def _type_check(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and any(getattr(getattr(n, "func", None), "id", None) == "isinstance" for n in ast.walk(node.test))
+        and any(_raises_validation_error(n) for stmt in node.body for n in ast.walk(stmt))
+    )
+
+
 def number_rule_copies(src: Path) -> list[str]:
     """``file:line`` of each bool isinstance test or ``math.isnan`` outside
     the rule's home."""
@@ -65,6 +95,12 @@ def container_rule_copies(src: Path) -> list[str]:
     """``file:line`` of each isinstance test against list and tuple outside
     the rule's home."""
     return _copies(src, _container_check)
+
+
+def type_rule_copies(src: Path) -> list[str]:
+    """``file:line`` of each ``if isinstance(...)`` that raises ValidationError,
+    outside the rule home's ``check_*`` rules."""
+    return _copies(src, _type_check, _home_rules)
 
 
 def test_scan_sees_the_rule_home():
@@ -98,3 +134,42 @@ def test_number_rule_is_stated_once():
 def test_container_rule_is_stated_once():
     copies = container_rule_copies(SRC)
     assert not copies, f"list/tuple checks outside {RULE_HOME}; call check_items: {', '.join(copies)}"
+
+
+def test_type_scan_sees_the_rule_home():
+    copies = type_rule_copies(SRC.parent)
+    assert any(c.startswith("lrmt/corpus.py:") for c in copies)
+
+
+def test_type_scan_finds_a_copy(tmp_path):
+    (tmp_path / "copy.py").write_text(
+        "def f(x):\n"
+        "    if not isinstance(x, str):\n"
+        "        raise ValidationError(f'{x!r} is not a string')\n"
+        "    if isinstance(x, str) and x:\n"
+        "        raise ProviderError('no reply')\n"
+        "    if x is None:\n"
+        "        raise ValidationError('none')\n"
+        "def check_g(x):\n"
+        "    if not (isinstance(x, int) or x):\n"
+        "        if x != 0:\n"
+        "            raise ValidationError('x')\n",
+        encoding="utf-8",
+    )
+    # only corpus.py's check_* rules are exempt; its domain types are scanned
+    (tmp_path / "corpus.py").write_text(
+        "def check_h(x):\n"
+        "    if not isinstance(x, str):\n"
+        "        raise ValidationError('x')\n"
+        "class Tag:\n"
+        "    def __post_init__(self):\n"
+        "        if not isinstance(self.code, str):\n"
+        "            raise ValidationError('code')\n",
+        encoding="utf-8",
+    )
+    assert type_rule_copies(tmp_path) == ["copy.py:2", "copy.py:9", "corpus.py:6"]
+
+
+def test_type_rule_is_stated_once():
+    copies = type_rule_copies(SRC)
+    assert not copies, f"type checks outside {RULE_HOME}'s rules; call check_type: {', '.join(copies)}"

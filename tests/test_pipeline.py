@@ -514,7 +514,7 @@ class TestVerifyOverlap:
         ):
             with pytest.raises(ValidationError, match=match):
                 verify_overlap(train, eval_sets)
-        with pytest.raises(ValidationError, match="train is a list, not a Corpus"):
+        with pytest.raises(ValidationError, match=r"^train must be Corpus, not list: \[Corpus\("):
             verify_overlap([train], [ev])
         assert verify_overlap(train, (ev,)).checked_pairs == 2
 

@@ -9,16 +9,17 @@ import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import lrmt
-from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, Origin, SentencePair
-from lrmt.errors import ProviderError, ValidationError
+from lrmt.corpus import ENG_LATN, TRP_LATN, Corpus, LanguageTag, Origin, SentencePair, _parse_row, ingest, write
+from lrmt.errors import IngestError, LrmtError, ProviderError, ValidationError
 from lrmt.metrics import evaluate_corpus
 from lrmt.metrics.bleu import BleuStats
-from lrmt.metrics.chrf import chrf
+from lrmt.metrics.chrf import chrf, chrf_stats
 from lrmt.metrics.meteor import meteor_corpus
 from lrmt.metrics.rouge import rouge_l_corpus
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
@@ -26,6 +27,7 @@ from lrmt.pipeline import (
     SplitEntry,
     SplitSpec,
     concat,
+    dedup,
     filter_length,
     sample_key,
     split,
@@ -431,7 +433,7 @@ class TestStratifiedSample:
     @pytest.mark.parametrize("seed", [5, None, b"s"])
     def test_rejects_seed_not_a_string(self, seed):
         pool = _scored_pool(random.Random(17), 10)
-        with pytest.raises(ValidationError, match=re.escape(f"sample seed {seed!r} is not a string")):
+        with pytest.raises(ValidationError, match=re.escape(f"sample seed must be str, not {type(seed).__name__}: {seed!r}")):
             stratified_sample(pool, self.BANDS, 2, seed=seed)
 
     def test_rejects_unscored_pair(self):
@@ -522,7 +524,9 @@ class TestEmbeddingClient:
 
     @pytest.mark.parametrize("url", ["127.0.0.1:8000", "file:///etc", "ftp://127.0.0.1", None, b"http://x"])
     def test_url_not_http(self, url):
-        with pytest.raises(ValidationError, match=re.escape(f"got {url!r}")):
+        # a str is refused by its prefix, anything else by its type
+        shown = f"must be http(s), got {url!r}" if isinstance(url, str) else f"must be str, not {type(url).__name__}: {url!r}"
+        with pytest.raises(ValidationError, match=re.escape(f"embedding service URL {shown}")):
             EmbeddingClient(url)
 
     @pytest.mark.parametrize("timeout", [-1.0, math.nan, math.inf, 0.0, 0, True, "5", None])
@@ -762,3 +766,104 @@ def test_histogram_of_an_iterator_refused():
         histogram_csv(iter([0.5, 0.5]))
     counts = [int(line.rsplit(",", 1)[1]) for line in histogram_csv([0.5, 0.5]).splitlines()[1:]]
     assert sum(counts) == 2
+
+
+# --- the type rule, across every typed argument ---
+
+
+def _pair(**fields):
+    return SentencePair(**{"id": "p0", "source_text": "a", "target_text": "b", "source_lang": ENG_LATN,
+                           "target_lang": TRP_LATN, "origin": SMOLSENT, **fields})
+
+
+def _json_row(obj):
+    """_parse_row on a JSONL row that decodes to obj. json.loads is stubbed:
+    JSON holds no bytes, and it refuses an int of 5,000 digits itself."""
+    with mock.patch.object(lrmt.corpus.json, "loads", return_value=obj):
+        return _parse_row("{}", "jsonl", 0, ENG_LATN, TRP_LATN, SMOLSENT)
+
+
+# argument -> (call with the value, the name its error gives, its type, a value
+# that passes). Every typed argument calls check_type.
+TYPE_ARGUMENTS = {
+    "language-tag": (LanguageTag, "language tag", str, "eng_Latn"),
+    "origin-label": (Origin, "origin label", str, "web"),
+    "pair-id": (lambda x: _pair(id=x), "sentence pair id", str, "p0"),
+    "source-text": (lambda x: _pair(source_text=x), "source text", str, "a"),
+    "target-text": (lambda x: _pair(target_text=x), "target text", str, "b"),
+    "source-tag": (lambda x: _pair(source_lang=x), "source language tag", LanguageTag, ENG_LATN),
+    "target-tag": (lambda x: _pair(target_lang=x), "target language tag", LanguageTag, TRP_LATN),
+    "pair-origin": (lambda x: _pair(origin=x), "pair origin", Origin, SMOLSENT),
+    "corpus-name": (lambda x: Corpus(_POOL.pairs, x), "corpus name", str, "c"),
+    "json-row": (_json_row, "JSON row", dict, {"source": "a", "target": "b"}),
+    "json-source": (lambda x: _json_row({"source": x, "target": "b"}), "JSON row's 'source'", str, "a"),
+    "json-target": (lambda x: _json_row({"source": "a", "target": x}), "JSON row's 'target'", str, "b"),
+    "split-name": (lambda x: SplitEntry(x, 1), "split name", str, "dev"),
+    "split-origin": (lambda x: SplitEntry("dev", 1, x), "split 'dev': origin", Origin, SMOLSENT),
+    "split-seed": (lambda x: SplitSpec(x, []), "split seed", str, "s"),
+    "overlap-train": (lambda x: verify_overlap(x, [_POOL]), "train", Corpus, _POOL),
+    "sample-seed": (lambda x: stratified_sample(_POOL, [(-1.0, 2.0)], 1, x), "sample seed", str, "s"),
+    "embedding-url": (EmbeddingClient, "embedding service URL", str, "http://127.0.0.1:8000"),
+    "tokenize": (tokenize_13a, "text", str, "a b"),
+    "chrf-hyp": (lambda x: chrf_stats(x, "a b"), "hyp", str, "a b"),
+    "chrf-ref": (lambda x: chrf_stats("a b", x), "ref", str, "a b"),
+}
+NOT_OF_TYPE = [None, 5, b"x", ["x"], HUGE]
+
+
+@pytest.mark.parametrize(
+    "argument, bad",
+    [
+        (arg, bad)
+        for arg in TYPE_ARGUMENTS
+        for bad in NOT_OF_TYPE
+        # None is a split with no origin restriction
+        if not (arg == "split-origin" and bad is None)
+    ],
+    ids=_huge_int_id,
+)
+def test_typed_argument_rejects(argument, bad):
+    call, what, kind, _ = TYPE_ARGUMENTS[argument]
+    shown = f"<int of {HUGE.bit_length()} bits>" if bad is HUGE else repr(bad)
+    message = f"{what} must be {kind.__name__}, not {type(bad).__name__}: {shown}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("argument", TYPE_ARGUMENTS)
+def test_typed_argument_passes(argument):
+    call, *_, good = TYPE_ARGUMENTS[argument]
+    call(good)
+
+
+# arguments whose refusal shows a value that is no type check: argument ->
+# (call with the value, the error it documents, a pattern of its message)
+SHOWN_ARGUMENTS = {
+    "dedup-key": (lambda x: dedup(_POOL, x), ValidationError, "dedup key"),
+    "ingest-format": (lambda x: ingest("missing.tsv", x), IngestError, "unknown format"),
+    "write-format": (lambda x: write(_POOL, "missing-dir/x.tsv", x), IngestError, "unknown format"),
+    "band-pair": (lambda x: stratified_sample(_POOL, [(x,)], 1, "s"), ValidationError, r"is not a \(low, high\) pair"),
+    "bleu-counts": (lambda x: BleuStats((x,) * 4, (1,) * 4, 1, 1), ValidationError, "clipped"),
+}
+ALL_ARGUMENTS = {
+    **{f"number:{arg}": (call, ValidationError, None) for arg, (call, *_) in NUMERIC_ARGUMENTS.items()},
+    **{f"container:{arg}": (call, ValidationError, None) for arg, (call, *_) in CONTAINER_ARGUMENTS.items()},
+    **{f"type:{arg}": (call, ValidationError, None) for arg, (call, *_) in TYPE_ARGUMENTS.items()},
+    **SHOWN_ARGUMENTS,
+}
+# a count has no upper limit, so 10**5000 is one (min_words is then above max_words)
+COUNTS = {"number:per_band", "number:max_words", "number:split-size"}
+
+
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [v]], ids=["huge-int", "list-of-huge-int"])
+@pytest.mark.parametrize("argument", ALL_ARGUMENTS)
+def test_an_unprintable_value_is_refused_as_documented(argument, wrap):
+    # repr of an int of more than 4,300 digits raises ValueError; every refusal
+    # shows such a value by its size instead
+    call, error, pattern = ALL_ARGUMENTS[argument]
+    assert issubclass(error, LrmtError)
+    if argument in COUNTS and wrap(HUGE) is HUGE:
+        call(HUGE)
+        return
+    with pytest.raises(error, match=pattern):
+        call(wrap(HUGE))
