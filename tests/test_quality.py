@@ -855,15 +855,15 @@ ALL_ARGUMENTS = {
 COUNTS = {"number:per_band", "number:max_words", "number:split-size"}
 
 
-@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [v]], ids=["huge-int", "list-of-huge-int"])
+@pytest.mark.parametrize("value", [HUGE, [HUGE]], ids=["huge-int", "list-of-huge-int"])
 @pytest.mark.parametrize("argument", ALL_ARGUMENTS)
-def test_an_unprintable_value_is_refused_as_documented(argument, wrap):
+def test_an_unprintable_value_is_refused_as_documented(argument, value):
     # repr of an int of more than 4,300 digits raises ValueError; every refusal
     # shows such a value by its size instead
     call, error, pattern = ALL_ARGUMENTS[argument]
     assert issubclass(error, LrmtError)
-    if argument in COUNTS and wrap(HUGE) is HUGE:
-        call(HUGE)
+    if argument in COUNTS and value is HUGE:
+        call(value)
         return
     with pytest.raises(error, match=pattern):
-        call(wrap(HUGE))
+        call(value)
