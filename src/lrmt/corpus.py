@@ -29,13 +29,22 @@ _FORMATS = ("tsv", "jsonl")
 
 def _shown(x: object) -> str:
     """repr(x), but an int beyond float range by its size: repr raises
-    ValueError on an int of over sys.get_int_max_str_digits() digits, or on x holding one."""
+    ValueError on an int of over sys.get_int_max_str_digits() digits, or on x holding one.
+    A repr of more than 200 characters, such as a corpus's, is cut short by
+    reprlib, two levels deep, so a refusal's message stays short."""
     if isinstance(x, int) and x.bit_length() > sys.float_info.max_exp:
         return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
     try:
-        return repr(x)
+        shown = repr(x)
     except ValueError:
         return f"<{type(x).__name__} holding an int of too many digits>"
+    if len(shown) <= 200:
+        return shown
+    import reprlib  # only a refusal of a long value pays for the import
+
+    bounded = reprlib.Repr()
+    bounded.maxlevel = 2
+    return bounded.repr(x)
 
 
 def check_type(x: object, what: str, kind: type) -> None:
@@ -199,6 +208,14 @@ def _check_format(format: object) -> None:
         raise IngestError(f"unknown format {_shown(format)}: expected 'tsv' or 'jsonl'")
 
 
+def _path(path: object, what: str) -> Path:
+    """`path` as a Path; a value Path() refuses raises ValidationError naming `what`."""
+    try:
+        return Path(path)
+    except TypeError:
+        raise ValidationError(f"{what} must be str or PathLike, not {type(path).__name__}: {_shown(path)}") from None
+
+
 def ingest(
     path: str | Path,
     format: str | None = None,
@@ -212,7 +229,8 @@ def ingest(
     With ``format=None`` the suffix chooses the format: ``.tsv`` or
     ``.jsonl``, case-insensitive; any other suffix raises ``IngestError``.
     A missing or unreadable path (a directory, no permission) and bytes
-    that are not UTF-8 raise ``IngestError`` too.
+    that are not UTF-8 raise ``IngestError`` too; a path that is not a str
+    or ``os.PathLike`` raises ``ValidationError``.
 
     Every text, a TSV cell verbatim, is normalized via :func:`normalize_text`;
     a JSONL row's other fields go to the types, which check them, and an absent
@@ -221,7 +239,7 @@ def ingest(
     assigned as ``<origin>:<0-based row index>`` unless a JSONL row supplies
     its own ``id``.
     """
-    path = Path(path)
+    path = _path(path, "ingest path")
     if format is None:
         format = path.suffix.lower()[1:]
         if format not in _FORMATS:
@@ -318,9 +336,12 @@ def write(corpus: Corpus, path: str | Path, format: str) -> None:
     JSONL carries per-pair id, language tags, origin and score, so it is the
     lossless interchange format; TSV keeps only the two texts, each cell the
     text verbatim. A path that cannot be opened or written (a missing
-    directory, a directory) raises ``IngestError``.
+    directory, a directory) raises ``IngestError``; a corpus that is not a
+    ``Corpus``, or a path that is not a str or ``os.PathLike``, raises
+    ``ValidationError``.
     """
-    path = Path(path)
+    check_type(corpus, "corpus", Corpus)
+    path = _path(path, "write path")
     _check_format(format)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:

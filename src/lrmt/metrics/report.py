@@ -9,12 +9,12 @@ from typing import Optional, Sequence
 
 from ..corpus import check_items, check_number, check_score
 from ..errors import ValidationError
-from .bleu import SIGNATURE, BleuStats, bleu_from_stats, sentence_stats
+from .bleu import MAX_ORDER, SIGNATURE, BleuStats, bleu_from_stats
 from .chrf import chrf
 from .meteor import meteor_corpus
 from .rouge import rouge_l_corpus
 from .ter import ter_sentence
-from .tokenizer import check_parallel, tokenize_13a, total
+from .tokenizer import check_parallel, ngram_stats, tokenize_13a, total
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,12 @@ def evaluate_corpus(
     empty = next((i for i, r in enumerate(ref_tok) if not r), None)
     if empty is not None:
         raise ValidationError(f"TER needs a non-empty reference; reference {empty} is empty")
-    # BLEU's statistics are ints: sum each field, then build one BleuStats
-    segments = list(map(sentence_stats, hyp_tok, ref_tok))
-    stats = BleuStats(
-        clipped=tuple(map(sum, zip(*(s.clipped for s in segments)))),
-        totals=tuple(map(sum, zip(*(s.totals for s in segments)))),
-        hyp_len=sum(s.hyp_len for s in segments),
-        ref_len=sum(s.ref_len for s in segments),
-    )
+    # BLEU's statistics are ints: sum each order's (clipped, hyp, ref) row
+    # over the segments, then build and check one BleuStats; order 1's
+    # totals are the token counts
+    rows = [ngram_stats(h.tokens, r.tokens, MAX_ORDER) for h, r in zip(hyp_tok, ref_tok)]
+    clipped, totals, ref_totals = zip(*(map(sum, zip(*order)) for order in zip(*rows)))
+    stats = BleuStats(clipped=clipped, totals=totals, hyp_len=totals[0], ref_len=ref_totals[0])
     bleu, precisions, bp = bleu_from_stats(stats)
     edits = sum(ter_sentence(h, r)[0] for h, r in zip(hyp_tok, ref_tok))
     ref_len = stats.ref_len  # the reference tokens, as TER divides by them

@@ -7,6 +7,9 @@ from .tokenizer import TokenizedSentence, check_parallel, f_measure, total
 
 
 def rouge_l_sentence(hyp: TokenizedSentence, ref: TokenizedSentence) -> float:
+    # a copy's LCS is its length, so it scores 1.0; an empty pair scores 0.0
+    if hyp.tokens == ref.tokens and hyp.tokens:
+        return 1.0
     return f_measure(lcs_length(hyp.tokens, ref.tokens), len(hyp), len(ref), 1.0)
 
 

@@ -4,7 +4,8 @@ A small, frozen rule set ("13a-lite"): pad punctuation with spaces, keep
 decimal/thousands separators and in-abbreviation periods attached, split on
 whitespace. The rules are locked by a golden-file test; changing them changes
 every metric, so don't. The n-gram counter skips a pair's shared prefix and
-suffix, whose n-grams match one for one, and adds their count exactly.
+suffix, whose n-grams match one for one, and adds their count exactly; an
+exact copy is counted in closed form.
 `f_measure` is the one F_beta formula: chrF, ROUGE-L and METEOR call it, and
 `total` is the one float sum: every metric's mean and cross-order fold calls it.
 """
@@ -64,7 +65,11 @@ def ngram_stats(hyp: Sequence, ref: Sequence, max_order: int) -> tuple[tuple[int
     items before its end, for a common prefix of p and suffix of s items (s
     capped so they do not overlap). The n-grams outside are one multiset c on
     both sides and min(c + x, c + y) = c + min(x, y), so adding c is exact.
+    An exact copy is all c: each order counts its t = len - n + 1 n-grams
+    (or 0) as (t, t, t), with no Counter.
     """
+    if hyp == ref:  # an exact copy: every n-gram of each order matches
+        return tuple((t, t, t) for t in (max(len(hyp) - n + 1, 0) for n in range(1, max_order + 1)))
     short, p, s = min(len(hyp), len(ref)), 0, 0
     while p < short and hyp[p] == ref[p]:
         p += 1
@@ -127,4 +132,13 @@ def tokenize_13a(text: str) -> TokenizedSentence:
     if not padded.isascii():
         pad = [f" {c} " if c > "\x7f" and unicodedata.category(c)[0] == "P" else c for c in padded]
         padded = "".join(pad)
-    return TokenizedSentence(tokens=tuple(padded.split()))
+    return _split_tokens(padded)
+
+
+def _split_tokens(text: str) -> TokenizedSentence:
+    """The TokenizedSentence of `text`'s whitespace-split tokens, built
+    without `__post_init__`: str.split() yields no empty token and none that
+    holds whitespace, which is all that check asks."""
+    sentence = object.__new__(TokenizedSentence)
+    object.__setattr__(sentence, "tokens", tuple(text.split()))
+    return sentence

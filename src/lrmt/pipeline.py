@@ -47,6 +47,7 @@ def dedup(corpus: Corpus, key: str = "both") -> tuple[Corpus, int]:
     "both" (the (source, target) tuple). Returns the deduplicated corpus and
     the number of pairs removed.
     """
+    check_type(corpus, "corpus", Corpus)
     if key not in DEDUP_KEYS:
         raise ValidationError(f"dedup key must be one of {DEDUP_KEYS}, got {_shown(key)}")
     seen: set = set()
@@ -76,6 +77,7 @@ def filter_length(corpus: Corpus, min_words: int, max_words: int) -> Corpus:
     Both bounds follow the count rule (:func:`~lrmt.corpus.check_count`):
     `min_words` at least 1, `max_words` at least `min_words`.
     """
+    check_type(corpus, "corpus", Corpus)
     check_count(min_words, "min_words", 1)
     check_count(max_words, "max_words", min_words)
     kept = []
@@ -112,6 +114,7 @@ def detect_swapped_rows(corpus: Corpus) -> list[str]:
     itself looks non-English (ratio below 0.05). A pair with no ``eng_Latn``
     side is never flagged. Detection only; repair is :func:`swap_rows`.
     """
+    check_type(corpus, "corpus", Corpus)
     stopwords = load_stopwords()
     flagged = []
     for pair in corpus:
@@ -133,6 +136,7 @@ def swap_rows(corpus: Corpus, ids: Sequence[str]) -> Corpus:
     Language tags stay put: the columns held the right languages' slots but the
     wrong texts. Applying the same id list twice is the identity.
     """
+    check_type(corpus, "corpus", Corpus)
     check_items(ids, "swap ids", str)
     wanted = set(ids)
     unknown = wanted - corpus.ids()
@@ -218,6 +222,8 @@ def split(pool: Corpus, spec: SplitSpec) -> dict[str, Corpus]:
     change who lands where. Raises when an entry's candidate pool (after its
     origin restriction) is too small.
     """
+    check_type(pool, "split pool", Corpus)
+    check_type(spec, "split spec", SplitSpec)
     remaining: dict[str, SentencePair] = {p.id: p for p in pool}
     result: dict[str, Corpus] = {}
     for entry in spec.entries:
@@ -299,6 +305,7 @@ def flip_concat(corpus: Corpus) -> Corpus:
     of the eval pairs in train, and ``verify_overlap``, which compares
     source with source, does not see it.
     """
+    check_type(corpus, "corpus", Corpus)
     flipped = [
         replace(
             p,

@@ -33,6 +33,7 @@ def filter_by_threshold(corpus: Corpus, threshold: float) -> tuple[Corpus, Corpu
     The threshold follows the number rule (:func:`~lrmt.corpus.check_number`)
     with no range limit: any finite number, so a bool, NaN or +-inf raises.
     """
+    check_type(corpus, "corpus", Corpus)
     check_number(threshold, "threshold", -math.inf, math.inf)
     kept: list[SentencePair] = []
     dropped: list[SentencePair] = []
@@ -86,6 +87,7 @@ def stratified_sample(
     with no range limit, and per_band the count rule
     (:func:`~lrmt.corpus.check_count`), at least 1; the seed is a str.
     """
+    check_type(corpus, "corpus", Corpus)
     check_count(per_band, "per_band", 1)
     check_type(seed, "sample seed", str)
     check_items(bands, "bands", object)
@@ -321,6 +323,7 @@ def score_pairs(corpus: Corpus, embedder: EmbeddingClient) -> Corpus:
     raised ScoringError carries the partially scored corpus for persisting,
     with the ProviderError as its cause.
     """
+    check_type(corpus, "corpus", Corpus)
     scored: dict[str, float] = {}
     todo = [p for p in corpus if p.score is None]
     error: Optional[ProviderError] = None
