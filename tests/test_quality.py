@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import re
 import statistics
@@ -28,7 +29,9 @@ from lrmt.pipeline import (
     SplitSpec,
     concat,
     dedup,
+    detect_swapped_rows,
     filter_length,
+    flip_concat,
     sample_key,
     split,
     swap_rows,
@@ -807,6 +810,21 @@ TYPE_ARGUMENTS = {
     "tokenize": (tokenize_13a, "text", str, "a b"),
     "chrf-hyp": (lambda x: chrf_stats(x, "a b"), "hyp", str, "a b"),
     "chrf-ref": (lambda x: chrf_stats("a b", x), "ref", str, "a b"),
+    "dedup-corpus": (dedup, "corpus", Corpus, _POOL),
+    "filter-length-corpus": (lambda x: filter_length(x, 1, 5), "corpus", Corpus, _POOL),
+    "detect-swapped-corpus": (detect_swapped_rows, "corpus", Corpus, _POOL),
+    "swap-corpus": (lambda x: swap_rows(x, []), "corpus", Corpus, _POOL),
+    "split-pool": (lambda x: split(x, SplitSpec("s", [])), "split pool", Corpus, _POOL),
+    "split-spec": (lambda x: split(_POOL, x), "split spec", SplitSpec, SplitSpec("s", [])),
+    "flip-corpus": (flip_concat, "corpus", Corpus, _POOL),
+    "write-corpus": (lambda x: write(x, os.devnull, "tsv"), "corpus", Corpus, _POOL),
+    "threshold-corpus": (lambda x: filter_by_threshold(x, 0.0), "corpus", Corpus, _POOL),
+    "sample-corpus": (lambda x: stratified_sample(x, [(-1.0, 2.0)], 1, "s"), "corpus", Corpus, _POOL),
+    # the embedder stays duck-typed; a scored corpus never calls it
+    "score-corpus": (lambda x: score_pairs(x, None), "corpus", Corpus, _POOL),
+    # a path is what Path() takes, so its type is named in words
+    "ingest-path": (lambda x: ingest(x, "tsv"), "ingest path", "str or PathLike", os.devnull),
+    "write-path": (lambda x: write(_POOL, x, "tsv"), "write path", "str or PathLike", os.devnull),
 }
 NOT_OF_TYPE = [None, 5, b"x", ["x"], HUGE]
 
@@ -825,7 +843,8 @@ NOT_OF_TYPE = [None, 5, b"x", ["x"], HUGE]
 def test_typed_argument_rejects(argument, bad):
     call, what, kind, _ = TYPE_ARGUMENTS[argument]
     shown = f"<int of {HUGE.bit_length()} bits>" if bad is HUGE else repr(bad)
-    message = f"{what} must be {kind.__name__}, not {type(bad).__name__}: {shown}"
+    name = kind if isinstance(kind, str) else kind.__name__
+    message = f"{what} must be {name}, not {type(bad).__name__}: {shown}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call(bad)
 
@@ -834,6 +853,23 @@ def test_typed_argument_rejects(argument, bad):
 def test_typed_argument_passes(argument):
     call, *_, good = TYPE_ARGUMENTS[argument]
     call(good)
+
+
+def test_a_refused_value_is_shown_short():
+    # a 1,000-pair corpus in a list was shown whole: a message of about
+    # 200,000 characters. A long repr is cut short, two levels deep
+    pairs = [SentencePair(f"p{i}", f"source {i}", f"target {i}", ENG_LATN, TRP_LATN, SMOLSENT) for i in range(1000)]
+    big = Corpus(pairs, "big")
+    with pytest.raises(ValidationError, match=r"^train must be Corpus, not list: \[Corpus\(pairs=") as info:
+        verify_overlap([big], [big])
+    assert len(str(info.value)) < 200
+    nested = [[["x" * 100] * 10] * 10] * 10
+    with pytest.raises(ValidationError, match=r"^text must be str, not list: \[\[\[") as info:
+        tokenize_13a(nested)
+    assert len(str(info.value)) < 2000
+    # a short value is still shown whole
+    with pytest.raises(ValidationError, match=re.escape(repr(["x" * 150]))):
+        tokenize_13a(["x" * 150])
 
 
 # arguments whose refusal shows a value that is no type check: argument ->

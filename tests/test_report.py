@@ -18,7 +18,10 @@ from lrmt.metrics import (
     ter_sentence,
     tokenize_13a,
 )
+from lrmt.metrics import report as report_module
+from lrmt.metrics.bleu import MAX_ORDER
 from lrmt.metrics.report import MetricReport
+from lrmt.metrics.tokenizer import ngram_stats
 
 HYPS = ["the cat sat on a mat .", "he walked home late", "big dogs bark loudly !"]
 REFS = ["the cat sat on the mat .", "late he walks home", "large dogs bark !"]
@@ -84,6 +87,38 @@ class TestEvaluateCorpus:
         assert (report.bleu, report.precisions, report.bp) == expected
         one = sentence_stats(tokenize_13a(hyps[0]), tokenize_13a(refs[0]))
         assert evaluate_corpus(hyps[:1], refs[:1]).bleu == bleu_from_stats(one)[0]
+
+    def test_summed_rows_equal_the_sentence_stats_fold(self):
+        # evaluate_corpus sums ngram_stats rows; order 1's totals are the
+        # token counts, so the sums carry every BleuStats field
+        for seed in range(5):
+            rng = random.Random(seed)
+            words = "the a cat dog sat ran on under mat house".split()
+            hyps = [tokenize_13a(" ".join(rng.choices(words, k=rng.randrange(0, 12)))) for _ in range(100)]
+            refs = [h if rng.random() < 0.3 else tokenize_13a(" ".join(rng.choices(words, k=rng.randrange(1, 12))))
+                    for h in hyps]
+            rows = [ngram_stats(h.tokens, r.tokens, MAX_ORDER) for h, r in zip(hyps, refs)]
+            clipped, totals, ref_totals = zip(*(map(sum, zip(*order)) for order in zip(*rows)))
+            fold = BleuStats.zero()
+            for h, r in zip(hyps, refs):
+                fold = fold + sentence_stats(h, r)
+            assert BleuStats(clipped, totals, totals[0], ref_totals[0]) == fold
+
+    def test_one_bleu_stats_check_per_corpus(self, monkeypatch):
+        # the per-segment rows are summed unchecked, and the one BleuStats
+        # built from the sums still refuses a bad count
+        built = []
+        check = BleuStats.__post_init__
+        monkeypatch.setattr(BleuStats, "__post_init__", lambda stats: built.append(check(stats)))
+        evaluate_corpus(HYPS, REFS)
+        assert len(built) == 1
+
+        def bad_row(hyp, ref, max_order):
+            return ((len(hyp) + 1, len(hyp), len(ref)),) + ((0, 0, 0),) * (max_order - 1)
+
+        monkeypatch.setattr(report_module, "ngram_stats", bad_row)
+        with pytest.raises(ValidationError, match="exceed totals"):
+            evaluate_corpus(HYPS, REFS)
 
     def test_defaults_leave_optional_scores_out(self):
         report = evaluate_corpus(HYPS, REFS)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lrmt.errors import ValidationError
+from lrmt.metrics import rouge
 from lrmt.metrics.rouge import rouge_l_corpus, rouge_l_sentence
 from lrmt.metrics.tokenizer import TokenizedSentence, tokenize_13a
 
@@ -69,6 +70,15 @@ class TestRougeLSentence:
 
     def test_identity_scores_one(self):
         assert rouge_l_sentence(toks("a", "b", "a"), toks("a", "b", "a")) == 1.0
+
+    def test_copy_skips_the_kernel(self, monkeypatch):
+        # a copy's LCS is its length, so the kernel is not run and the score
+        # is the one the kernel would give (an empty pair: see above)
+        rng = random.Random(33)
+        copies = [s for s in (random_sentence(rng, ["a", "b", "c"], 12) for _ in range(200)) if s.tokens]
+        expected = [oracle_rouge_l(c.tokens, c.tokens) for c in copies]
+        monkeypatch.setattr(rouge, "lcs_length", lambda hyp, ref: pytest.fail("LCS kernel run on a copy"))
+        assert [rouge_l_sentence(c, c) for c in copies] == expected
 
     def test_known_case(self):
         # LCS "a c" of 2: P = 2/3, R = 2/4, F1 = 4/7

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lrmt.errors import ValidationError
+from lrmt.metrics import tokenizer
 from lrmt.metrics.tokenizer import TokenizedSentence, f_measure, ngram_stats, tokenize_13a
 
 GOLDEN = Path(__file__).parent / "data" / "tokenizer_golden.json"
@@ -154,6 +155,16 @@ class TestAgainstLoop:
             text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 16)))
             assert tokenize_13a(text).tokens == loop_tokenize_13a(text), repr(text)
 
+    def test_output_passes_the_public_check(self):
+        # tokenize_13a builds its result without TokenizedSentence's check;
+        # its tokens, from str.split(), must pass that check all the same
+        rng = random.Random(33)
+        pool = string.printable + ODD_CHARS + "\u00e9\u0915\u093e\u0301"
+        for _ in range(20000):
+            text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 24)))
+            out = tokenize_13a(text)
+            assert TokenizedSentence(tokens=out.tokens) == out, repr(text)
+
     def test_every_neighbor_of_the_exceptions(self):
         # Latin, Greek, Cyrillic, Indic, general punctuation and CJK symbols
         # on either side of '.' and ',' and inside a word
@@ -260,6 +271,20 @@ class TestAffixTrim:
         for max_order in range(1, 7):
             for h, r in ((hyp, ref), (tuple(hyp), tuple(ref))):
                 assert ngram_stats(h, r, max_order) == counter_ngram_stats(h, r, max_order)
+
+
+class TestExactCopy:
+    @pytest.mark.parametrize(
+        "text",
+        ["", "a", "ab", "abc", "abcabc", "aaaaaaa", ("the", "cat"), ("a",) * 9, ()],
+    )
+    def test_closed_form_equals_counter(self, text, monkeypatch):
+        # a copy is counted with no Counter: empty, shorter than the order,
+        # longer than it, repeated n-grams, and token tuples
+        expected = {n: counter_ngram_stats(text, text, n) for n in range(1, 7)}
+        monkeypatch.setattr(tokenizer, "Counter", None)
+        for max_order in range(1, 7):
+            assert ngram_stats(text, text, max_order) == expected[max_order]
 
 
 class TestFMeasure:
